@@ -35,8 +35,9 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("dataset: Intn requires n > 0")
 	}
-	// Lemire's multiply-shift rejection-free mapping is fine here; the
-	// modulo bias over 64 bits is negligible for our n.
+	// A plain modulo of 64 random bits: its bias toward small values is
+	// at most n/2^64, negligible for our n. Every generated dataset
+	// depends on this exact mapping.
 	return int(r.Uint64() % uint64(n))
 }
 

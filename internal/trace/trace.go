@@ -180,6 +180,11 @@ type Generator struct {
 	phase Phase
 	rng   *dataset.RNG
 
+	// mix holds the cumulative instruction-mix thresholds: Load, then
+	// +Store, +Branch, +Mul, +Div, +SIMD; a draw at or above the last is
+	// an ALU op.
+	mix [6]float64
+
 	dataBase uint64 // base virtual address of the data region
 	codeBase uint64
 	seqAddr  uint64 // cursor of the sequential access stream
@@ -189,7 +194,6 @@ type Generator struct {
 	branchPCs  []uint64
 
 	recentStores ring // last stores for alias generation
-	sinceStore   int  // ops since the most recent store
 
 	opCount int
 }
@@ -276,6 +280,14 @@ func NewGeneratorSlot(phase Phase, rng *dataset.RNG, slot int) (*Generator, erro
 		dataBase: 0x10_0000_0000 + uint64(slot)*0x40_0000_0000,
 		codeBase: 0x40_0000, // code is shared between threads, as in OMP
 	}
+	// Accumulated left to right, so each threshold is the float64 the
+	// prefix sum LoadFrac+StoreFrac+... evaluates to; every generated
+	// dataset depends on these exact values.
+	var cum float64
+	for i, f := range [...]float64{phase.LoadFrac, phase.StoreFrac, phase.BranchFrac, phase.MulFrac, phase.DivFrac, phase.SIMDFrac} {
+		cum += f
+		g.mix[i] = cum
+	}
 	g.seqAddr = g.dataBase
 	g.branchBias = make([]float64, phase.BranchSites)
 	g.branchPCs = make([]uint64, phase.BranchSites)
@@ -326,35 +338,34 @@ func (g *Generator) DataRegion() (base uint64, span int) {
 }
 
 // Next produces the next op of the stream.
-func (g *Generator) Next() Op {
+func (g *Generator) Next() (op Op) {
+	g.next(&op)
+	return op
+}
+
+// next fills the zero op with the next op of the stream.
+func (g *Generator) next(op *Op) {
 	g.opCount++
-	g.sinceStore++
-	p := &g.phase
 	u := g.rng.Float64()
-	var op Op
 	op.PC = g.nextPC()
+	op.AliasDist = -1
 	switch {
-	case u < p.LoadFrac:
-		op = g.genLoad(op.PC)
-	case u < p.LoadFrac+p.StoreFrac:
-		op = g.genStore(op.PC)
-	case u < p.LoadFrac+p.StoreFrac+p.BranchFrac:
-		op = g.genBranch(op.PC)
-	case u < p.LoadFrac+p.StoreFrac+p.BranchFrac+p.MulFrac:
+	case u < g.mix[0]:
+		g.genLoad(op)
+	case u < g.mix[1]:
+		g.genStore(op)
+	case u < g.mix[2]:
+		g.genBranch(op)
+	case u < g.mix[3]:
 		op.Kind = Mul
-		op.AliasDist = -1
-	case u < p.LoadFrac+p.StoreFrac+p.BranchFrac+p.MulFrac+p.DivFrac:
+	case u < g.mix[4]:
 		op.Kind = Div
-		op.AliasDist = -1
-	case u < p.LoadFrac+p.StoreFrac+p.BranchFrac+p.MulFrac+p.DivFrac+p.SIMDFrac:
+	case u < g.mix[5]:
 		op.Kind = SIMDOp
-		op.AliasDist = -1
-		op.FpAssist = g.rng.Float64() < p.FpAssistRate
+		op.FpAssist = g.rng.Float64() < g.phase.FpAssistRate
 	default:
 		op.Kind = ALU
-		op.AliasDist = -1
 	}
-	return op
 }
 
 // nextPC advances the instruction-address cursor through the hot code
@@ -401,15 +412,15 @@ func (g *Generator) dataAddr(size uint32) uint64 {
 	return addr
 }
 
-func (g *Generator) genLoad(pc uint64) Op {
-	op := Op{Kind: Load, PC: pc, Size: g.accessSize(), AliasDist: -1}
+func (g *Generator) genLoad(op *Op) {
+	op.Kind = Load
+	op.Size = g.accessSize()
 	p := &g.phase
 	if g.rng.Float64() < p.StoreAliasRate {
 		if st, ok := g.recentStores.pick(g.rng); ok {
-			dist := g.opCount - st.op
 			op.Addr = st.addr
 			op.Size = st.size
-			op.AliasDist = dist
+			op.AliasDist = g.opCount - st.op
 			if g.rng.Float64() < p.PartialOverlapFrac {
 				// Load a narrower slice at a non-zero offset inside the
 				// stored bytes: partial overlap, hostile to forwarding.
@@ -419,27 +430,22 @@ func (g *Generator) genLoad(pc uint64) Op {
 					op.Size = st.size / 2
 				}
 			}
-			return op
+			return
 		}
 	}
 	op.Addr = g.dataAddr(op.Size)
-	return op
 }
 
-func (g *Generator) genStore(pc uint64) Op {
-	op := Op{Kind: Store, PC: pc, Size: g.accessSize(), AliasDist: -1}
+func (g *Generator) genStore(op *Op) {
+	op.Kind = Store
+	op.Size = g.accessSize()
 	op.Addr = g.dataAddr(op.Size)
 	g.recentStores.push(storeRec{addr: op.Addr, size: op.Size, op: g.opCount})
-	g.sinceStore = 0
-	return op
 }
 
-func (g *Generator) genBranch(pc uint64) Op {
+func (g *Generator) genBranch(op *Op) {
 	site := g.rng.Intn(len(g.branchBias))
-	return Op{
-		Kind:      Branch,
-		PC:        g.branchPCs[site],
-		Taken:     g.rng.Float64() < g.branchBias[site],
-		AliasDist: -1,
-	}
+	op.Kind = Branch
+	op.PC = g.branchPCs[site]
+	op.Taken = g.rng.Float64() < g.branchBias[site]
 }

@@ -20,15 +20,26 @@ import (
 
 // Cache is a set-associative cache with true-LRU replacement, tracking
 // only tags (contents are irrelevant to event generation).
+//
+// Each way is a key and an LRU stamp. A key is the line's tag with bit 63
+// set, so 0 marks an empty way and a hit is one compare per way; a stamp
+// is the cache's access tick at the way's last use, 0 while empty. Ticks
+// only increase, so no two filled ways share a stamp and the LRU victim is
+// unique.
 type Cache struct {
 	lineShift uint
+	tagShift  uint // line-number bits consumed by the set index
 	setMask   uint64
 	ways      int
-	tags      []uint64 // sets*ways entries; tag 0 means empty (valid bit below)
-	valid     []bool
-	used      []uint64 // LRU stamps
+	keys      []uint64 // sets*ways entries, set-major: tag|validKey, or 0
+	used      []uint64 // LRU stamps, parallel to keys
 	tick      uint64
 }
+
+// validKey marks a filled way's key. A tag drops the line offset and the
+// set index from the address, at least one bit (NewCache rejects a single
+// set of 1-byte lines), so it never reaches bit 63.
+const validKey = 1 << 63
 
 // NewCache builds a cache of the given total size, associativity, and
 // line size. Size must be divisible by ways*line and the set count must be
@@ -47,12 +58,15 @@ func NewCache(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if lineBytes&(lineBytes-1) != 0 {
 		return nil, fmt.Errorf("uarch: line size %d is not a power of two", lineBytes)
 	}
+	if sets == 1 && lineBytes == 1 {
+		return nil, errors.New("uarch: a single set of 1-byte lines leaves no tag bit free for the valid mark")
+	}
 	return &Cache{
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		tagShift:  uint(bits.Len64(uint64(sets - 1))),
 		setMask:   uint64(sets - 1),
 		ways:      ways,
-		tags:      make([]uint64, sets*ways),
-		valid:     make([]bool, sets*ways),
+		keys:      make([]uint64, sets*ways),
 		used:      make([]uint64, sets*ways),
 	}, nil
 }
@@ -65,25 +79,26 @@ func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 func (c *Cache) Access(addr uint64) bool {
 	c.tick++
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	tag := line >> bits.Len64(c.setMask)
-	base := set * c.ways
-	lruIdx, lruStamp := base, c.used[base]
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tags[i] == tag {
-			c.used[i] = c.tick
+	key := line>>c.tagShift | validKey
+	base := int(line&c.setMask) * c.ways
+	keys := c.keys[base : base+c.ways : base+c.ways]
+	used := c.used[base : base+c.ways : base+c.ways]
+	for i, k := range keys {
+		if k == key {
+			used[i] = c.tick
 			return true
 		}
-		if !c.valid[i] {
-			// Prefer filling an invalid way.
-			lruIdx, lruStamp = i, 0
-		} else if c.used[i] < lruStamp {
-			lruIdx, lruStamp = i, c.used[i]
+	}
+	// Miss: the way with the minimum stamp is an empty way (stamp 0) if
+	// the set has one, else the unique least recently used.
+	victim, oldest := 0, used[0]
+	for i, u := range used {
+		if u < oldest {
+			victim, oldest = i, u
 		}
 	}
-	c.tags[lruIdx] = tag
-	c.valid[lruIdx] = true
-	c.used[lruIdx] = c.tick
+	keys[victim] = key
+	used[victim] = c.tick
 	return false
 }
 
@@ -98,10 +113,8 @@ func (c *Cache) Splits(addr uint64, size uint32) bool {
 
 // Reset invalidates the entire cache.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.used[i] = 0
-	}
+	clear(c.keys)
+	clear(c.used)
 	c.tick = 0
 }
 

@@ -285,10 +285,10 @@ func (c *Core) RunStack(gen *trace.Generator, nOps int) (pmu.Counts, CPIStack) {
 		switch op.Kind {
 		case trace.Load:
 			w.Ev[pmu.Load]++
-			c.load(op, &w, &st, ilp)
+			c.load(&op, &w, &st, ilp)
 		case trace.Store:
 			w.Ev[pmu.Store]++
-			c.store(op, &w, &st, ilp)
+			c.store(&op, &w, &st, ilp)
 		case trace.Branch:
 			w.Ev[pmu.Br]++
 			if !c.bp.Predict(op.PC, op.Taken) {
@@ -315,7 +315,7 @@ func (c *Core) RunStack(gen *trace.Generator, nOps int) (pmu.Counts, CPIStack) {
 }
 
 // load simulates one load, charging its cycle costs into the stack.
-func (c *Core) load(op trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
+func (c *Core) load(op *trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
 	cfg := &c.cfg
 
 	// Store-to-load interactions first: a load whose data comes from a
@@ -353,7 +353,7 @@ func (c *Core) load(op trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
 			// or not the stream prefetcher has the line in flight — the
 			// PMU counts the miss; the prefetcher only hides its latency.
 			w.Ev[pmu.L2Miss]++
-			if c.prefetched(op.Addr / uint64(cfg.LineBytes)) {
+			if c.prefetched(op.Addr >> c.l2.lineShift) {
 				st[StackPrefetch] += cfg.PrefetchPenalty / ilp
 			} else {
 				st[StackL2] += cfg.L2MissPenalty / ilp
@@ -366,7 +366,7 @@ func (c *Core) load(op trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
 // Store misses are mostly hidden by the store buffer; they perturb cache
 // and TLB state but carry only a small direct penalty, and the PMU's
 // load-centric miss events do not count them.
-func (c *Core) store(op trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
+func (c *Core) store(op *trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
 	cfg := &c.cfg
 	c.alignmentCost(op, w, st, pmu.SplitStore)
 	if !c.dtlb.Access(op.Addr) {
@@ -380,14 +380,14 @@ func (c *Core) store(op trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
 			// coherent: store misses advance the same streams as loads
 			// (the penalty stays small — RFOs hide behind the store
 			// buffer either way).
-			c.prefetched(op.Addr / uint64(cfg.LineBytes))
+			c.prefetched(op.Addr >> c.l2.lineShift)
 		}
 		st[StackStoreMiss] += cfg.StoreMissPenalty / ilp
 	}
 }
 
 // alignmentCost counts split/misaligned accesses and charges their cost.
-func (c *Core) alignmentCost(op trace.Op, w *pmu.Counts, st *CPIStack, splitEvent pmu.EventID) {
+func (c *Core) alignmentCost(op *trace.Op, w *pmu.Counts, st *CPIStack, splitEvent pmu.EventID) {
 	cfg := &c.cfg
 	misaligned := op.Size > 0 && op.Addr%uint64(op.Size) != 0
 	if misaligned {
