@@ -11,6 +11,7 @@ package specchar
 // results table.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -380,8 +381,9 @@ func benchPredictDatasetWorkers(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if preds := tree.PredictDataset(s.CPU); len(preds) != s.CPU.Len() {
-			b.Fatal("short prediction vector")
+		preds, err := tree.PredictDatasetCheckedContext(context.Background(), s.CPU)
+		if err != nil || len(preds) != s.CPU.Len() {
+			b.Fatalf("short prediction vector (err %v)", err)
 		}
 	}
 }
@@ -399,12 +401,13 @@ func benchPredictDatasetCompiledWorkers(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctree.Workers = workers
+	ctree = ctree.WithWorkers(workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if preds := ctree.PredictDataset(s.CPU); len(preds) != s.CPU.Len() {
-			b.Fatal("short prediction vector")
+		preds, err := ctree.PredictDatasetCheckedContext(context.Background(), s.CPU)
+		if err != nil || len(preds) != s.CPU.Len() {
+			b.Fatalf("short prediction vector (err %v)", err)
 		}
 	}
 }
@@ -417,23 +420,24 @@ func BenchmarkPredictDatasetCompiledParallel(b *testing.B) { benchPredictDataset
 // convert` writes and OpenColumnar maps. Since PR 10 this is the fused
 // tile-transpose route: L1-resident sub-chunks are gathered into pooled
 // row scratch and scored by the same fused kernel as the row path,
-// bit-identically (the in-place column-walk kernels remain measurable
-// via WithColumnarDirect).
+// bit-identically (the retired in-place column-walk kernel's numbers
+// are in BENCH_PR10.json).
 func benchPredictColumnarWorkers(b *testing.B, workers int) {
 	s := benchStudy(b)
 	ctree, err := s.CPUTree.Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctree.Workers = workers
+	ctree = ctree.WithWorkers(workers)
 	col := s.CPU.ToColumnar()
 	defer col.Close()
 	cols, n := col.Columns(), col.Len()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if preds := ctree.PredictColumns(cols, n); len(preds) != n {
-			b.Fatal("short prediction vector")
+		preds, err := ctree.PredictColumnsCheckedContext(context.Background(), cols, n)
+		if err != nil || len(preds) != n {
+			b.Fatalf("short prediction vector (err %v)", err)
 		}
 	}
 }
@@ -455,7 +459,11 @@ func evalOn(b *testing.B, tree *mtree.Tree, s *Study) evalResult {
 }
 
 func computeMetrics(tree *mtree.Tree, test *dataset.Dataset) (evalResult, error) {
-	rep, err := metrics.Compute(tree.PredictDataset(test), test.Ys())
+	preds, err := tree.PredictDatasetCheckedContext(context.Background(), test)
+	if err != nil {
+		return evalResult{}, err
+	}
+	rep, err := metrics.Compute(preds, test.Ys())
 	if err != nil {
 		return evalResult{}, err
 	}

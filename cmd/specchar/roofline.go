@@ -10,11 +10,10 @@ import (
 )
 
 // runRoofline measures the machine's STREAM bandwidth ceilings and
-// holds every scoring path — fused row-major, fused columnar
-// (tile-transpose), and the direct in-place columnar kernels — against
-// them over the CPU2006 suite data. Invoked from `specchar bench
-// -roofline`; with -roofline-out the full report is also written as
-// JSON for cmd/benchjson to fold into its report.
+// holds both scoring input shapes — fused row-major and fused columnar
+// (tile-transpose) — against them over the CPU2006 suite data. Invoked
+// from `specchar bench -roofline`; with -roofline-out the full report
+// is also written as JSON for cmd/benchjson to fold into its report.
 func runRoofline(ctx context.Context, cfg specchar.Config, elems, rounds, workers int, outPath string) error {
 	study, err := specchar.RunContext(ctx, cfg)
 	if err != nil {
@@ -39,15 +38,21 @@ func runRoofline(ctx context.Context, cfg specchar.Config, elems, rounds, worker
 	cols, n := col.Columns(), col.Len()
 	w := ctree.NumAttrs()
 
-	rowNs := roofline.Time(rounds, func() { ctree.PredictDataset(study.CPU) })
+	// keep records the first scoring error of any timed round.
+	var scoreErr error
+	keep := func(_ []float64, err error) {
+		if scoreErr == nil {
+			scoreErr = err
+		}
+	}
+	rowNs := roofline.Time(rounds, func() { keep(ctree.PredictDatasetCheckedContext(ctx, study.CPU)) })
 	rep.Add(roofline.ScoringKernel("fused-rows", w), n, rowNs)
 
-	fusedNs := roofline.Time(rounds, func() { ctree.PredictColumns(cols, n) })
+	fusedNs := roofline.Time(rounds, func() { keep(ctree.PredictColumnsCheckedContext(ctx, cols, n)) })
 	rep.Add(roofline.ScoringKernel("fused-columnar", w), n, fusedNs)
-
-	direct := ctree.WithColumnarDirect(true)
-	directNs := roofline.Time(rounds, func() { direct.PredictColumns(cols, n) })
-	rep.Add(roofline.ScoringKernel("direct-columnar", w), n, directNs)
+	if scoreErr != nil {
+		return scoreErr
+	}
 
 	fmt.Print(rep.RenderText())
 

@@ -95,7 +95,6 @@ type options struct {
 	maxBatch          int
 	batchWait         time.Duration
 	maxPending        int
-	columnarMin       int
 	defaultTimeout    time.Duration
 	retryAfter        time.Duration
 	stateDir          string
@@ -122,7 +121,6 @@ func main() {
 	flag.IntVar(&o.maxBatch, "max-batch", 0, "max samples per scoring batch (0 = serve default)")
 	flag.DurationVar(&o.batchWait, "batch-wait", 0, "linger for stragglers once a batch is open (0 = serve default)")
 	flag.IntVar(&o.maxPending, "max-pending", 0, "admission bound: queued samples per model (0 = serve default)")
-	flag.IntVar(&o.columnarMin, "columnar-min", 0, "batch size that routes a flush through the fused-columnar scorer (0 = serve default, negative disables)")
 	flag.DurationVar(&o.defaultTimeout, "default-timeout", 0, "deadline for score requests without an explicit X-Deadline-Ms header (0 = none)")
 	flag.DurationVar(&o.retryAfter, "retry-after", 0, "Retry-After hint on 429/503 responses (0 = serve default)")
 	flag.StringVar(&o.stateDir, "state-dir", "", "durable registry state directory; empty = in-memory only")
@@ -214,7 +212,6 @@ func run(o options) error {
 		MaxBatch:       o.maxBatch,
 		BatchWait:      o.batchWait,
 		MaxPending:     o.maxPending,
-		ColumnarMin:    o.columnarMin,
 		Workers:        o.workers,
 		DefaultTimeout: o.defaultTimeout,
 		RetryAfter:     o.retryAfter,
@@ -343,13 +340,12 @@ func runSelfbench(rec *obs.Recorder, reg *registry.Registry, o options) error {
 		return err
 	}
 	srv, err := serve.New(serve.Config{
-		Registry:    reg,
-		Recorder:    rec,
-		MaxBatch:    o.maxBatch,
-		BatchWait:   o.batchWait,
-		MaxPending:  o.maxPending,
-		ColumnarMin: o.columnarMin,
-		Workers:     o.workers,
+		Registry:   reg,
+		Recorder:   rec,
+		MaxBatch:   o.maxBatch,
+		BatchWait:  o.batchWait,
+		MaxPending: o.maxPending,
+		Workers:    o.workers,
 	})
 	if err != nil {
 		return err

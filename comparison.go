@@ -1,6 +1,7 @@
 package specchar
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -229,7 +230,7 @@ func (s *Study) NoiseSweep(sigmas []float64) ([]NoisePoint, error) {
 			}
 			noisy.Samples = append(noisy.Samples, dataset.Sample{X: x, Y: smp.Y, Label: smp.Label})
 		}
-		pred, err := s.CPUModelCompiled.PredictDatasetChecked(noisy)
+		pred, err := s.CPUModelCompiled.PredictDatasetCheckedContext(context.Background(), noisy)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package specchar
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,9 +52,15 @@ func TestCompiledMatchesInterpretedOnSuites(t *testing.T) {
 				t.Fatalf("%s smooth=%v: Compile: %v", sc.name, smooth, err)
 			}
 			for _, workers := range []int{1, 4, 0} {
-				ctree.Workers = workers
-				preds := ctree.PredictDataset(d)
-				leaves := ctree.ClassifyLeaves(d)
+				cw := ctree.WithWorkers(workers)
+				preds, err := cw.PredictDatasetCheckedContext(context.Background(), d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				leaves, err := cw.ClassifyLeavesCheckedContext(context.Background(), d)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i, s := range d.Samples {
 					if want := tree.Predict(s.X); !compiledTol(preds[i], want) {
 						t.Fatalf("%s smooth=%v workers=%d sample %d: compiled %v, interpreted %v",

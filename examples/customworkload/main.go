@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -96,7 +97,11 @@ func main() {
 	fmt.Printf("\nnearest CPU2006 benchmark: %s (distance %.1f%%)\n", bestName, 100*bestD)
 
 	// Does the CPU2006 model predict this workload's performance?
-	rep, err := metrics.Compute(study.CPUTreeCompiled.PredictDataset(data), data.Ys())
+	preds, err := study.CPUTreeCompiled.PredictDatasetCheckedContext(context.Background(), data)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := metrics.Compute(preds, data.Ys())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,16 +25,10 @@ import (
 // pass the compiled form.
 type Classifier interface {
 	NumLeaves() int
-	// ClassifyLeavesChecked returns the 1-based LeafID of every sample,
-	// or an error when the dataset does not match the model's schema.
-	ClassifyLeavesChecked(d *dataset.Dataset) ([]int, error)
-}
-
-// ContextClassifier is the cancellable refinement of Classifier
-// (satisfied by *mtree.CompiledTree); ProfileOfContext uses it when
-// available so a canceled context stops classification at a chunk
-// boundary rather than after the whole suite is classified.
-type ContextClassifier interface {
+	// ClassifyLeavesCheckedContext returns the 1-based LeafID of every
+	// sample, or an error when the dataset does not match the model's
+	// schema; a canceled context stops classification at a chunk
+	// boundary rather than after the whole suite is classified.
 	ClassifyLeavesCheckedContext(ctx context.Context, d *dataset.Dataset) ([]int, error)
 }
 
@@ -76,9 +70,8 @@ func ProfileOf(model Classifier, d *dataset.Dataset, name string) (Profile, erro
 }
 
 // ProfileOfContext is ProfileOf with cooperative cancellation: the
-// classification pass observes the context when the model supports it
-// (ContextClassifier), and a canceled context is returned as a wrapped
-// ctx.Err().
+// classification pass observes the context, and a canceled context is
+// returned as a wrapped ctx.Err().
 func ProfileOfContext(ctx context.Context, model Classifier, d *dataset.Dataset, name string) (Profile, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -90,13 +83,7 @@ func ProfileOfContext(ctx context.Context, model Classifier, d *dataset.Dataset,
 	span.SetRows(d.Len())
 	defer span.End()
 	ctx = sctx
-	var leafIDs []int
-	var err error
-	if cc, ok := model.(ContextClassifier); ok {
-		leafIDs, err = cc.ClassifyLeavesCheckedContext(ctx, d)
-	} else {
-		leafIDs, err = model.ClassifyLeavesChecked(d)
-	}
+	leafIDs, err := model.ClassifyLeavesCheckedContext(ctx, d)
 	if err != nil {
 		return Profile{}, fmt.Errorf("characterize: %s: %w", name, err)
 	}

@@ -1,6 +1,7 @@
 package mtree
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -15,8 +16,9 @@ func TestBlockedAsmParity(t *testing.T) {
 	_, c := boundaryTree(t, 47)
 	d := boundaryDataset(t, c, 5)
 	cols := d.Columns()
-	refPreds := c.WithWorkers(1).PredictDataset(d)
-	refLeaves := c.ClassifyLeaves(d)
+	ctx := context.Background()
+	refPreds := must(c.WithWorkers(1).PredictDatasetCheckedContext(ctx, d))
+	refLeaves := must(c.ClassifyLeavesCheckedContext(ctx, d))
 
 	savedDot, saved512 := useAsmDot, useAsm512
 	defer func() { useAsmDot, useAsm512 = savedDot, saved512 }()
@@ -31,11 +33,11 @@ func TestBlockedAsmParity(t *testing.T) {
 		useAsmDot, useAsm512 = cfg.dot, cfg.f512
 		for _, workers := range []int{1, 4} {
 			cw := c.WithWorkers(workers)
-			preds := cw.PredictDataset(d)
-			leaves := cw.ClassifyLeaves(d)
+			preds := must(cw.PredictDatasetCheckedContext(ctx, d))
+			leaves := must(cw.ClassifyLeavesCheckedContext(ctx, d))
 			// The fused-columnar route rides the same row kernels off
 			// transposed tiles, so it must not move a bit either.
-			colPreds := cw.PredictColumns(cols, d.Len())
+			colPreds := must(cw.PredictColumnsCheckedContext(ctx, cols, d.Len()))
 			for i := range refPreds {
 				if math.Float64bits(preds[i]) != math.Float64bits(refPreds[i]) {
 					t.Fatalf("%s workers=%d sample %d: %v, asm reference %v",

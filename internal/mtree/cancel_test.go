@@ -89,6 +89,10 @@ func TestBuildContextDeadline(t *testing.T) {
 	}
 }
 
+// TestPredictDatasetContextCancel runs every context-taking batch entry
+// point, of the pointer tree and of its compiled form, under a canceled
+// context at every worker count: each must return context.Canceled
+// wrapped in its own diagnostic and join all of its workers.
 func TestPredictDatasetContextCancel(t *testing.T) {
 	d := piecewiseDataset(5000, 4, 0.05)
 	tree, err := Build(d, optsWithWorkers(2))
@@ -99,38 +103,47 @@ func TestPredictDatasetContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cols := d.Columns()
 	for _, w := range workerCounts {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		baseline := runtime.NumGoroutine()
 		tree.Opts.Workers = w
-		if _, err := tree.PredictDatasetContext(ctx, d); !errors.Is(err, context.Canceled) {
-			t.Errorf("tree workers=%d: err = %v, want context.Canceled", w, err)
-		}
-		ctree.Workers = w
-		if _, err := ctree.PredictDatasetContext(ctx, d); !errors.Is(err, context.Canceled) {
-			t.Errorf("compiled workers=%d: err = %v, want context.Canceled", w, err)
-		}
-		if _, err := ctree.ClassifyLeavesContext(ctx, d); !errors.Is(err, context.Canceled) {
-			t.Errorf("classify workers=%d: err = %v, want context.Canceled", w, err)
+		cw := ctree.WithWorkers(w)
+		for _, tc := range []struct {
+			name string
+			err  error
+		}{
+			{"tree PredictDatasetCheckedContext", errOf(tree.PredictDatasetCheckedContext(ctx, d))},
+			{"tree ClassifyLeavesCheckedContext", errOf(tree.ClassifyLeavesCheckedContext(ctx, d))},
+			{"compiled PredictDatasetCheckedContext", errOf(cw.PredictDatasetCheckedContext(ctx, d))},
+			{"compiled PredictColumnsCheckedContext", errOf(cw.PredictColumnsCheckedContext(ctx, cols, d.Len()))},
+			{"compiled ClassifyLeavesCheckedContext", errOf(cw.ClassifyLeavesCheckedContext(ctx, d))},
+		} {
+			if !errors.Is(tc.err, context.Canceled) || tc.err == context.Canceled {
+				t.Errorf("%s workers=%d: err = %v, want a wrapped context.Canceled", tc.name, w, tc.err)
+			}
 		}
 		assertNoGoroutineLeak(t, baseline)
 	}
 }
 
-// Context-aware batch prediction must agree exactly with the plain entry
-// point at every worker count — chunks are pulled dynamically but write
-// disjoint ranges, so the output is positionally deterministic.
+// Batch prediction must agree exactly with the per-sample reference at
+// every worker count — chunks are pulled dynamically but write disjoint
+// ranges, so the output is positionally deterministic.
 func TestPredictDatasetContextMatchesPlain(t *testing.T) {
 	d := piecewiseDataset(5000, 5, 0.05)
 	tree, err := Build(d, optsWithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tree.PredictDataset(d)
+	want := make([]float64, d.Len())
+	for i, s := range d.Samples {
+		want[i] = tree.Predict(s.X)
+	}
 	for _, w := range workerCounts {
 		tree.Opts.Workers = w
-		got, err := tree.PredictDatasetContext(context.Background(), d)
+		got, err := tree.PredictDatasetCheckedContext(context.Background(), d)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -200,8 +213,8 @@ func TestContextVariantsBackgroundEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := tree.PredictDataset(d)
-	p2 := tree2.PredictDataset(d)
+	p1 := must(tree.PredictDatasetCheckedContext(context.Background(), d))
+	p2 := must(tree2.PredictDatasetCheckedContext(context.Background(), d))
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatalf("BuildContext and Build disagree at sample %d: %v vs %v", i, p1[i], p2[i])

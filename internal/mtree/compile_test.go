@@ -1,6 +1,7 @@
 package mtree
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -18,6 +19,20 @@ func closeEnough(a, b float64) bool {
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return math.Abs(a-b) <= 1e-9*scale
 }
+
+// must returns v and panics on a non-nil err, in the style of
+// template.Must: the scoring calls it wraps only fail on a broken
+// invariant, which the test binary then reports with a stack trace.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// errOf keeps only the error of a (value, error) result, so table tests
+// can list calls with different result types side by side.
+func errOf[T any](_ T, err error) error { return err }
 
 // assertCompiledEquivalent checks every per-sample and batch contract
 // between a tree and its compiled form on the dataset, across worker
@@ -45,9 +60,9 @@ func assertCompiledEquivalent(t *testing.T, tree *Tree, d *dataset.Dataset) {
 		}
 	}
 	for _, workers := range []int{0, 1, 4, 8} {
-		ctree.Workers = workers
-		preds := ctree.PredictDataset(d)
-		leaves := ctree.ClassifyLeaves(d)
+		cw := ctree.WithWorkers(workers)
+		preds := must(cw.PredictDatasetCheckedContext(context.Background(), d))
+		leaves := must(cw.ClassifyLeavesCheckedContext(context.Background(), d))
 		if len(preds) != d.Len() || len(leaves) != d.Len() {
 			t.Fatalf("workers=%d: batch lengths %d/%d, want %d", workers, len(preds), len(leaves), d.Len())
 		}
@@ -164,26 +179,49 @@ func TestCompiledCheckedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctree.PredictChecked([]float64{1}); !errors.Is(err, ErrSampleWidth) {
-		t.Errorf("PredictChecked narrow: err = %v, want ErrSampleWidth", err)
-	}
-	if _, err := ctree.ClassifyLeafChecked([]float64{1, 2, 3}); !errors.Is(err, ErrSampleWidth) {
-		t.Errorf("ClassifyLeafChecked wide: err = %v, want ErrSampleWidth", err)
-	}
-	bad := dataset.New(&dataset.Schema{Response: "y", Attributes: []string{"a"}})
-	_ = bad.Append(dataset.Sample{X: []float64{0.5}, Y: 1})
-	if _, err := ctree.PredictDatasetChecked(bad); err == nil {
-		t.Error("PredictDatasetChecked accepted a narrower schema")
-	}
-	if _, err := ctree.ClassifyLeavesChecked(bad); err == nil {
-		t.Error("ClassifyLeavesChecked accepted a narrower schema")
-	}
+	ctx := context.Background()
+	narrow := dataset.New(&dataset.Schema{Response: "y", Attributes: []string{"a"}})
+	_ = narrow.Append(dataset.Sample{X: []float64{0.5}, Y: 1})
+	wide := dataset.New(&dataset.Schema{Response: "y", Attributes: []string{"a", "b", "c"}})
+	_ = wide.Append(dataset.Sample{X: []float64{1, 2, 3}, Y: 1})
 	// A dataset whose declared schema matches but whose rows are ragged
 	// must be a diagnostic, not an out-of-range panic.
 	ragged := dataset.New(twoAttrSchema())
 	ragged.Samples = append(ragged.Samples, dataset.Sample{X: []float64{0.5}, Y: 1})
-	if _, err := ctree.PredictDatasetChecked(ragged); !errors.Is(err, ErrSampleWidth) {
-		t.Errorf("PredictDatasetChecked ragged: err = %v, want ErrSampleWidth", err)
+	// Column sets: too few columns, and a column shorter than n.
+	cols := d.Columns()
+	shortCol := [][]float64{cols[0], cols[1][:d.Len()-1]}
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"PredictDatasetCheckedContext narrow", errOf(ctree.PredictDatasetCheckedContext(ctx, narrow))},
+		{"PredictDatasetCheckedContext wide", errOf(ctree.PredictDatasetCheckedContext(ctx, wide))},
+		{"PredictDatasetCheckedContext ragged", errOf(ctree.PredictDatasetCheckedContext(ctx, ragged))},
+		{"PredictDatasetChecked narrow", errOf(ctree.PredictDatasetChecked(narrow))},
+		{"PredictDatasetChecked ragged", errOf(ctree.PredictDatasetChecked(ragged))},
+		{"ClassifyLeavesCheckedContext narrow", errOf(ctree.ClassifyLeavesCheckedContext(ctx, narrow))},
+		{"ClassifyLeavesCheckedContext wide", errOf(ctree.ClassifyLeavesCheckedContext(ctx, wide))},
+		{"ClassifyLeavesCheckedContext ragged", errOf(ctree.ClassifyLeavesCheckedContext(ctx, ragged))},
+		{"PredictColumnsCheckedContext narrow", errOf(ctree.PredictColumnsCheckedContext(ctx, cols[:1], d.Len()))},
+		{"PredictColumnsCheckedContext short column", errOf(ctree.PredictColumnsCheckedContext(ctx, shortCol, d.Len()))},
+		{"PredictColumnsChecked narrow", errOf(ctree.PredictColumnsChecked(cols[:1], d.Len()))},
+		{"PredictColumnsChecked short column", errOf(ctree.PredictColumnsChecked(shortCol, d.Len()))},
+	} {
+		if !errors.Is(tc.err, ErrSampleWidth) {
+			t.Errorf("%s: err = %v, want ErrSampleWidth", tc.name, tc.err)
+		}
+	}
+	// The benchmark-harness wrappers score exactly like the context entry
+	// points on valid input.
+	want := must(ctree.PredictDatasetCheckedContext(ctx, d))
+	rows := must(ctree.PredictDatasetChecked(d))
+	colPreds := must(ctree.PredictColumnsChecked(cols, d.Len()))
+	for i := range want {
+		if math.Float64bits(rows[i]) != math.Float64bits(want[i]) || math.Float64bits(colPreds[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("sample %d: PredictDatasetChecked %v, PredictColumnsChecked %v, context entry point %v",
+				i, rows[i], colPreds[i], want[i])
+		}
 	}
 }
 
@@ -222,9 +260,8 @@ func TestEvaluateSplitsParallelDeterministic(t *testing.T) {
 // One compiled tree shared read-only across many scoring goroutines — the
 // registry/serving access pattern — must be race-free, and WithWorkers
 // views must let each goroutine pick its own worker bound without
-// mutating the shared value. Run under -race this pins the
-// shared-mutable-Workers fix: the old pattern (every goroutine assigning
-// ctree.Workers before scoring) was a data race by construction.
+// mutating the shared value. Run under -race this pins that scoring
+// through views never writes shared state.
 func TestCompiledSharedScoringNoRace(t *testing.T) {
 	d := piecewiseDataset(2000, 7, 0.2)
 	opts := DefaultOptions()
@@ -237,7 +274,7 @@ func TestCompiledSharedScoringNoRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := shared.WithWorkers(1).PredictDataset(d)
+	want := must(shared.WithWorkers(1).PredictDatasetCheckedContext(context.Background(), d))
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -254,7 +291,11 @@ func TestCompiledSharedScoringNoRace(t *testing.T) {
 				errs <- fmt.Errorf("goroutine %d: view lost structure", g)
 				return
 			}
-			got := view.PredictDataset(d)
+			got, err := view.PredictDatasetCheckedContext(context.Background(), d)
+			if err != nil {
+				errs <- fmt.Errorf("goroutine %d: %w", g, err)
+				return
+			}
 			for i := range got {
 				if got[i] != want[i] {
 					errs <- fmt.Errorf("goroutine %d sample %d: %v != %v", g, i, got[i], want[i])
@@ -274,8 +315,8 @@ func TestCompiledSharedScoringNoRace(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if shared.Workers != tree.Opts.Workers {
-		t.Errorf("shared tree Workers mutated to %d", shared.Workers)
+	if shared.workers != tree.Opts.Workers {
+		t.Errorf("shared tree workers mutated to %d", shared.workers)
 	}
 }
 
@@ -290,12 +331,12 @@ func TestWithWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.WithWorkers(c.Workers) != c {
+	if c.WithWorkers(c.workers) != c {
 		t.Error("WithWorkers(same) should return the receiver")
 	}
-	v := c.WithWorkers(c.Workers + 3)
-	if v == c || v.Workers != c.Workers+3 {
-		t.Errorf("WithWorkers view wrong: %p vs %p, workers %d", v, c, v.Workers)
+	v := c.WithWorkers(c.workers + 3)
+	if v == c || v.workers != c.workers+3 {
+		t.Errorf("WithWorkers view wrong: %p vs %p, workers %d", v, c, v.workers)
 	}
 	x := make([]float64, c.NumAttrs())
 	if c.Predict(x) != v.Predict(x) {

@@ -98,7 +98,7 @@ func CrossValidateContext(ctx context.Context, d *dataset.Dataset, k int, opts O
 				return fmt.Errorf("mtree: fold %d: %w", fold, err)
 			}
 			fspan.SetRows(test.Len())
-			preds, err := ctree.PredictDatasetContext(fctx, test)
+			preds, err := ctree.PredictDatasetCheckedContext(fctx, test)
 			if err != nil {
 				return fmt.Errorf("mtree: fold %d: %w", fold, err)
 			}

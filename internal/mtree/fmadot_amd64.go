@@ -9,9 +9,9 @@ import (
 
 // The amd64 build carries hand-written AVX+FMA kernels for the leaf-model
 // dot products (fmadot_amd64.s). They execute the exact floating-point
-// schedules of dotRow and dotColsSample — same lane assignment, same
-// fused rounding, same combine order — so enabling them changes nothing
-// but throughput; TestBlockedAsmParity pins that bitwise.
+// schedule of dotRow — same lane assignment, same fused rounding, same
+// combine order — so enabling them changes nothing but throughput;
+// TestBlockedAsmParity pins that bitwise.
 
 // dotRowsBlockAsm evaluates out[l] = dotRow(intercepts[lis[l]],
 // coefs[lis[l]*w:…+w], row l) for l in [0,n), n ≤ laneBlock. rows points
@@ -19,13 +19,6 @@ import (
 //
 //go:noescape
 func dotRowsBlockAsm(rows *unsafe.Pointer, lis *int32, coefs, intercepts *float64, w, n int64, out *float64)
-
-// dotColsRunAsm evaluates out[i] = dotColsSample(intercept, coefs[:w],
-// cols, i0+i) for i in [0,n) over column base pointers, four samples per
-// step; n must be a multiple of 4 (the Go wrapper peels the tail).
-//
-//go:noescape
-func dotColsRunAsm(colptrs *unsafe.Pointer, w int64, coefs *float64, intercept float64, i0, n int64, out *float64)
 
 // predictRowsFusedAsm is the fused AVX-512 row scorer: per sample, one
 // pass that box-tests the sample against the current leaf while

@@ -117,47 +117,6 @@ rowsDone:
 	VZEROUPPER
 	RET
 
-// func dotColsRunAsm(colptrs *unsafe.Pointer, w int64, coefs *float64, intercept float64, i0, n int64, out *float64)
-//
-// AVX2+FMA. Four consecutive samples per step, one broadcast coefficient
-// per term: each sample lane accumulates intercept-first in ascending
-// attribute order — dotColsSample's schedule. n must be a multiple of 4.
-TEXT ·dotColsRunAsm(SB), NOSPLIT, $0-56
-	MOVQ colptrs+0(FP), DI
-	MOVQ w+8(FP), R8
-	MOVQ coefs+16(FP), DX
-	MOVQ i0+32(FP), R13
-	MOVQ n+40(FP), R9
-	MOVQ out+48(FP), R10
-
-	XORQ BX, BX             // i = 0
-
-colsQuad:
-	CMPQ BX, R9
-	JGE  colsDone
-	VBROADCASTSD intercept+24(FP), Y0
-	LEAQ (R13)(BX*1), R14   // absolute sample index i0+i
-	XORQ AX, AX             // j = 0
-
-colsTerm:
-	CMPQ AX, R8
-	JGE  colsStore
-	MOVQ (DI)(AX*8), R11    // column base
-	VBROADCASTSD (DX)(AX*8), Y1
-	VMOVUPD (R11)(R14*8), Y2
-	VFMADD231PD Y2, Y1, Y0
-	INCQ AX
-	JMP  colsTerm
-
-colsStore:
-	VMOVUPD Y0, (R10)(BX*8)
-	ADDQ $4, BX
-	JMP  colsQuad
-
-colsDone:
-	VZEROUPPER
-	RET
-
 // func predictRowsFusedAsm(samples unsafe.Pointer, stride, n, w int64,
 //	boxes *float64, boxB int64, box0 *float64, packed *uint64,
 //	thr *float64, interior, rootExt int64, coefs, intercepts *float64,

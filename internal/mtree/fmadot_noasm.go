@@ -22,7 +22,3 @@ func predictRowsFusedAsm(samples unsafe.Pointer, stride, n, w int64,
 	trans *int32, sentLeaf int64, out *float64) int64 {
 	panic("mtree: fused scoring kernel called on a build without one")
 }
-
-func dotColsRunAsm(colptrs *unsafe.Pointer, w int64, coefs *float64, intercept float64, i0, n int64, out *float64) {
-	panic("mtree: asm dot kernel called on a build without one")
-}

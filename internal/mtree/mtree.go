@@ -795,8 +795,8 @@ func (t *Tree) numberLeaves() {
 }
 
 // Classify returns the leaf that the sample vector falls into. The vector
-// must be at least as wide as the tree's schema; see ClassifyChecked for
-// the validating entry point.
+// must be at least as wide as the tree's schema; batch callers use
+// ClassifyLeavesCheckedContext, which validates widths.
 func (t *Tree) Classify(x []float64) *Node {
 	n := t.Root
 	for !n.IsLeaf() {
@@ -813,68 +813,59 @@ func (t *Tree) Classify(x []float64) *Node {
 // sample vector does not match the tree's schema width.
 var ErrSampleWidth = errors.New("mtree: sample width does not match tree schema")
 
-// checkWidth validates a sample width against the tree's schema. Split
-// attributes and model terms are guaranteed (by Build) or validated (by
-// ReadJSON) to lie inside the schema, so schema width is the exact
-// requirement for safe evaluation.
-func (t *Tree) checkWidth(w int) error {
+// checkDataset validates the dataset's schema width and every sample row
+// against the tree's schema. Split attributes and model terms are
+// guaranteed (by Build) or validated (by ReadJSON) to lie inside the
+// schema, so schema width is the exact requirement for safe evaluation.
+func (t *Tree) checkDataset(d *dataset.Dataset) error {
 	if t.Schema == nil || t.Root == nil {
 		return errors.New("mtree: tree has no schema or root")
 	}
-	if w != t.Schema.NumAttrs() {
-		return fmt.Errorf("%w: got %d attributes, schema has %d", ErrSampleWidth, w, t.Schema.NumAttrs())
+	w := t.Schema.NumAttrs()
+	if d.Schema.NumAttrs() != w {
+		return fmt.Errorf("%w: got %d attributes, schema has %d", ErrSampleWidth, d.Schema.NumAttrs(), w)
+	}
+	for i := range d.Samples {
+		if len(d.Samples[i].X) != w {
+			return fmt.Errorf("%w: sample %d has %d attributes, schema has %d",
+				ErrSampleWidth, i, len(d.Samples[i].X), w)
+		}
 	}
 	return nil
 }
 
-// ClassifyChecked is Classify with input validation: a vector narrower
-// than the tree's schema returns ErrSampleWidth instead of panicking —
-// the safe entry point for samples from external files or deserialized
-// trees scored against a different schema.
-func (t *Tree) ClassifyChecked(x []float64) (*Node, error) {
-	if err := t.checkWidth(len(x)); err != nil {
-		return nil, err
-	}
-	return t.Classify(x), nil
-}
-
-// ClassifyLeavesChecked validates the dataset against the tree's schema
-// and returns the 1-based LeafID of every sample — the interpreted
-// counterpart of CompiledTree.ClassifyLeavesChecked, kept for parity so
-// characterization can run on either form.
-func (t *Tree) ClassifyLeavesChecked(d *dataset.Dataset) ([]int, error) {
-	if err := t.checkWidth(d.Schema.NumAttrs()); err != nil {
+// ClassifyLeavesCheckedContext validates the dataset against the tree's
+// schema (ErrSampleWidth on a schema or row width mismatch) and returns
+// the 1-based LeafID of every sample — the interpreted counterpart of
+// CompiledTree.ClassifyLeavesCheckedContext, kept so characterization
+// can run on either form. Samples are classified in fixed chunks across
+// the tree's worker pool with the cancellation and panic containment of
+// PredictDatasetCheckedContext.
+func (t *Tree) ClassifyLeavesCheckedContext(ctx context.Context, d *dataset.Dataset) ([]int, error) {
+	if err := t.checkDataset(d); err != nil {
 		return nil, err
 	}
 	out := make([]int, d.Len())
-	for i := range d.Samples {
-		if len(d.Samples[i].X) != t.Schema.NumAttrs() {
-			return nil, fmt.Errorf("%w: sample %d has %d attributes, schema has %d",
-				ErrSampleWidth, i, len(d.Samples[i].X), t.Schema.NumAttrs())
+	err := forRangesCtx(ctx, d.Len(), effectiveWorkers(t.Opts.Workers), "mtree.predict.chunk", func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = t.Classify(d.Samples[i].X).LeafID
 		}
-		out[i] = t.Classify(d.Samples[i].X).LeafID
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mtree: leaf classification: %w", err)
 	}
 	return out, nil
 }
 
 // Predict returns the tree's prediction for the sample vector, applying
 // M5 smoothing along the root path when enabled. The vector must match
-// the tree's schema width; see PredictChecked for the validating entry
-// point.
+// the tree's schema width; batch callers use PredictDatasetCheckedContext,
+// which validates widths.
 func (t *Tree) Predict(x []float64) float64 {
 	if !t.Opts.Smooth {
 		return t.Classify(x).Model.Predict(x)
 	}
 	return t.predictSmoothed(t.Root, x)
-}
-
-// PredictChecked is Predict with input validation, returning
-// ErrSampleWidth for a vector that does not match the tree's schema.
-func (t *Tree) PredictChecked(x []float64) (float64, error) {
-	if err := t.checkWidth(len(x)); err != nil {
-		return 0, err
-	}
-	return t.Predict(x), nil
 }
 
 // predictSmoothed implements Quinlan's smoothing: the child's prediction p
@@ -967,24 +958,18 @@ func forRangesChunkCtx(ctx context.Context, n, workers, chunk int, site string, 
 	return g.Wait()
 }
 
-// PredictDataset returns predictions for every sample in d. Large batches
-// are scored in fixed chunks across the tree's worker pool; every chunk
-// writes a disjoint range of the output, so the result is identical to a
-// serial pass.
-func (t *Tree) PredictDataset(d *dataset.Dataset) []float64 {
-	out, err := t.PredictDatasetContext(context.Background(), d)
-	if err != nil {
-		// Unreachable without cancellation or a worker panic; a contained
-		// panic resumes here rather than silently returning zeros.
-		panic(err)
-	}
-	return out
-}
-
-// PredictDatasetContext is PredictDataset with cooperative cancellation at
-// chunk boundaries: a canceled context returns a wrapped ctx.Err() and a
+// PredictDatasetCheckedContext validates the dataset against the tree's
+// schema (width of the schema and of every sample row) and returns
+// predictions for every sample — the safe entry point for datasets
+// loaded from external files. Large batches are scored in fixed chunks
+// across the tree's worker pool; every chunk writes a disjoint range of
+// the output, so the result is identical to a serial pass. A canceled
+// context returns a wrapped ctx.Err() at the next chunk boundary and a
 // panicking scoring worker is contained and returned as an error.
-func (t *Tree) PredictDatasetContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
+func (t *Tree) PredictDatasetCheckedContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
+	if err := t.checkDataset(d); err != nil {
+		return nil, err
+	}
 	workers := effectiveWorkers(t.Opts.Workers)
 	_, span := obs.FromContext(ctx).StartSpan(ctx, "mtree.predict",
 		obs.A("compiled", false), obs.A("workers", workers))
@@ -1000,40 +985,6 @@ func (t *Tree) PredictDatasetContext(ctx context.Context, d *dataset.Dataset) ([
 		return nil, fmt.Errorf("mtree: batch prediction: %w", err)
 	}
 	return out, nil
-}
-
-// checkDatasetWidths validates the dataset's schema width and every sample
-// row against the tree's schema.
-func (t *Tree) checkDatasetWidths(d *dataset.Dataset) error {
-	if err := t.checkWidth(d.Schema.NumAttrs()); err != nil {
-		return err
-	}
-	for i := range d.Samples {
-		if len(d.Samples[i].X) != t.Schema.NumAttrs() {
-			return fmt.Errorf("%w: sample %d has %d attributes, schema has %d",
-				ErrSampleWidth, i, len(d.Samples[i].X), t.Schema.NumAttrs())
-		}
-	}
-	return nil
-}
-
-// PredictDatasetChecked validates the dataset against the tree's schema
-// (width of the schema and of every sample row) before predicting — the
-// safe entry point for datasets loaded from external files.
-func (t *Tree) PredictDatasetChecked(d *dataset.Dataset) ([]float64, error) {
-	if err := t.checkDatasetWidths(d); err != nil {
-		return nil, err
-	}
-	return t.PredictDataset(d), nil
-}
-
-// PredictDatasetCheckedContext combines the validation of
-// PredictDatasetChecked with the cancellation of PredictDatasetContext.
-func (t *Tree) PredictDatasetCheckedContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
-	if err := t.checkDatasetWidths(d); err != nil {
-		return nil, err
-	}
-	return t.PredictDatasetContext(ctx, d)
 }
 
 // NumNodes returns the total node count of the pointer tree, interior

@@ -1,6 +1,7 @@
 package mtree
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -249,13 +250,13 @@ func TestSmoothingBlendsTowardParent(t *testing.T) {
 func TestPredictDataset(t *testing.T) {
 	d := piecewiseDataset(300, 10, 0.1)
 	tree, _ := Build(d, DefaultOptions())
-	preds := tree.PredictDataset(d)
+	preds := must(tree.PredictDatasetCheckedContext(context.Background(), d))
 	if len(preds) != d.Len() {
-		t.Fatalf("PredictDataset returned %d values", len(preds))
+		t.Fatalf("PredictDatasetCheckedContext returned %d values", len(preds))
 	}
 	for i, p := range preds {
 		if got := tree.Predict(d.Samples[i].X); got != p {
-			t.Fatalf("PredictDataset[%d] = %v, Predict = %v", i, p, got)
+			t.Fatalf("PredictDatasetCheckedContext[%d] = %v, Predict = %v", i, p, got)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func disabledObsSequence(ctx context.Context) {
 // TestDisabledRecorderOverhead bounds the cost of the no-op observability
 // path: the complete disabled instrumentation sequence of a stage must
 // cost under 2% of the cheapest stage it wraps. Comparing the sequence's
-// own ns/op against real Build/PredictDataset ns/op is far more stable
+// own ns/op against real Build/batch-predict ns/op is far more stable
 // across loaded CI machines than timing two full pipeline variants A/B.
 func TestDisabledRecorderOverhead(t *testing.T) {
 	if testing.Short() {
@@ -59,19 +59,19 @@ func TestDisabledRecorderOverhead(t *testing.T) {
 	}
 	predictCost := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ctree.PredictDatasetContext(ctx, d); err != nil {
+			if _, err := ctree.PredictDatasetCheckedContext(ctx, d); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
 	o, bu, p := obsCost.NsPerOp(), buildCost.NsPerOp(), predictCost.NsPerOp()
-	t.Logf("disabled obs sequence: %d ns/op; Build: %d ns/op; PredictDataset: %d ns/op", o, bu, p)
+	t.Logf("disabled obs sequence: %d ns/op; Build: %d ns/op; batch predict: %d ns/op", o, bu, p)
 	// One sequence per stage invocation; 50x headroom == the 2% budget.
 	if o*50 > bu {
 		t.Errorf("disabled obs sequence (%d ns) exceeds 2%% of Build (%d ns)", o, bu)
 	}
 	if o*50 > p {
-		t.Errorf("disabled obs sequence (%d ns) exceeds 2%% of PredictDataset (%d ns)", o, p)
+		t.Errorf("disabled obs sequence (%d ns) exceeds 2%% of batch predict (%d ns)", o, p)
 	}
 }

@@ -2,6 +2,7 @@ package mtree
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -57,9 +58,9 @@ func TestParallelPredictDatasetDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree.Opts.Workers = 4
-	batch := tree.PredictDataset(d)
+	batch := must(tree.PredictDatasetCheckedContext(context.Background(), d))
 	if len(batch) != d.Len() {
-		t.Fatalf("PredictDataset returned %d values for %d samples", len(batch), d.Len())
+		t.Fatalf("PredictDatasetCheckedContext returned %d values for %d samples", len(batch), d.Len())
 	}
 	for i, s := range d.Samples {
 		if got := tree.Predict(s.X); got != batch[i] {
@@ -120,44 +121,59 @@ func TestBuildSurvivesNaNColumn(t *testing.T) {
 	}
 }
 
+// TestCheckedPredictionErrors pins the width validation of the pointer
+// tree's batch entry points: a narrower schema, a wider schema, and
+// ragged rows under a matching schema are all ErrSampleWidth
+// diagnostics, never panics; valid input agrees with the per-sample
+// reference.
 func TestCheckedPredictionErrors(t *testing.T) {
 	d := piecewiseDataset(200, 5, 0.2)
 	tree, err := Build(d, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 
-	if _, err := tree.ClassifyChecked([]float64{0.5}); !errors.Is(err, ErrSampleWidth) {
-		t.Errorf("ClassifyChecked(short) = %v, want ErrSampleWidth", err)
-	}
-	if _, err := tree.PredictChecked([]float64{0.1, 0.2, 0.3}); !errors.Is(err, ErrSampleWidth) {
-		t.Errorf("PredictChecked(wide) = %v, want ErrSampleWidth", err)
-	}
-
-	// Checked calls agree with unchecked ones on valid input.
-	x := []float64{0.3, 0.7}
-	if got, err := tree.PredictChecked(x); err != nil || got != tree.Predict(x) {
-		t.Errorf("PredictChecked = %v, %v; want %v", got, err, tree.Predict(x))
-	}
-	if leaf, err := tree.ClassifyChecked(x); err != nil || leaf != tree.Classify(x) {
-		t.Errorf("ClassifyChecked disagrees with Classify: %v, %v", leaf, err)
-	}
-
-	// A dataset under a narrower schema must be rejected, not panic.
 	narrow := dataset.New(&dataset.Schema{Response: "y", Attributes: []string{"a"}})
 	if err := narrow.Append(dataset.Sample{X: []float64{0.5}, Y: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.PredictDatasetChecked(narrow); !errors.Is(err, ErrSampleWidth) {
-		t.Errorf("PredictDatasetChecked(narrow) = %v, want ErrSampleWidth", err)
+	wide := dataset.New(&dataset.Schema{Response: "y", Attributes: []string{"a", "b", "c"}})
+	if err := wide.Append(dataset.Sample{X: []float64{0.1, 0.2, 0.3}, Y: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ragged := dataset.New(twoAttrSchema())
+	ragged.Samples = append(ragged.Samples, dataset.Sample{X: []float64{0.5}, Y: 1})
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"PredictDatasetCheckedContext(narrow)", errOf(tree.PredictDatasetCheckedContext(ctx, narrow))},
+		{"PredictDatasetCheckedContext(wide)", errOf(tree.PredictDatasetCheckedContext(ctx, wide))},
+		{"PredictDatasetCheckedContext(ragged)", errOf(tree.PredictDatasetCheckedContext(ctx, ragged))},
+		{"ClassifyLeavesCheckedContext(narrow)", errOf(tree.ClassifyLeavesCheckedContext(ctx, narrow))},
+		{"ClassifyLeavesCheckedContext(wide)", errOf(tree.ClassifyLeavesCheckedContext(ctx, wide))},
+		{"ClassifyLeavesCheckedContext(ragged)", errOf(tree.ClassifyLeavesCheckedContext(ctx, ragged))},
+	} {
+		if !errors.Is(tc.err, ErrSampleWidth) {
+			t.Errorf("%s = %v, want ErrSampleWidth", tc.name, tc.err)
+		}
 	}
 
-	ok, err := tree.PredictDatasetChecked(d)
-	if err != nil {
-		t.Fatalf("PredictDatasetChecked(valid) = %v", err)
+	// Checked batch calls agree with the per-sample reference on valid
+	// input.
+	preds := must(tree.PredictDatasetCheckedContext(ctx, d))
+	leaves := must(tree.ClassifyLeavesCheckedContext(ctx, d))
+	if len(preds) != d.Len() || len(leaves) != d.Len() {
+		t.Fatalf("got %d predictions and %d leaves for %d samples", len(preds), len(leaves), d.Len())
 	}
-	if len(ok) != d.Len() {
-		t.Fatalf("got %d predictions for %d samples", len(ok), d.Len())
+	for i, s := range d.Samples {
+		if preds[i] != tree.Predict(s.X) {
+			t.Fatalf("sample %d: batch %v, Predict %v", i, preds[i], tree.Predict(s.X))
+		}
+		if leaves[i] != tree.Classify(s.X).LeafID {
+			t.Fatalf("sample %d: batch leaf %d, Classify %d", i, leaves[i], tree.Classify(s.X).LeafID)
+		}
 	}
 }
 

@@ -2,11 +2,14 @@ package mtree
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"specchar/internal/dataset"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden fixtures")
@@ -107,8 +110,9 @@ func FuzzReadJSON(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		// Accepted trees must be safely usable and round-trippable.
-		x := make([]float64, tree.Schema.NumAttrs())
-		if _, err := tree.PredictChecked(x); err != nil {
+		d := dataset.New(tree.Schema)
+		d.Samples = append(d.Samples, dataset.Sample{X: make([]float64, tree.Schema.NumAttrs())})
+		if _, err := tree.PredictDatasetCheckedContext(context.Background(), d); err != nil {
 			t.Fatalf("accepted tree rejects a schema-width sample: %v", err)
 		}
 		var buf bytes.Buffer

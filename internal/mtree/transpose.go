@@ -6,12 +6,12 @@ package mtree
 // The .spcol columnar layout is ideal for ingest (zero-parse, one mmap)
 // but the fast scoring kernel is row-major: the fused AVX-512 scorer of
 // fmadot_amd64.s wants each sample's attributes contiguous so it can
-// box-test and dot-accumulate them in one register-resident pass. Until
-// PR 10 the columnar path scored in place through a broadcast kernel and
-// ran ~4× behind fused rows. Instead of porting the fused kernel to a
-// second data layout, the columnar path now gathers laneBlock-sample ×
-// all-attribute tiles from the column slabs into pooled row-major
-// scratch and feeds the existing row kernels.
+// box-test and dot-accumulate them in one register-resident pass. An
+// in-place broadcast kernel over the columns ran ~4× behind fused rows
+// (BENCH_PR10.json), so instead of porting the fused kernel to a second
+// data layout the columnar path gathers laneBlock-sample × all-attribute
+// tiles from the column slabs into pooled row-major scratch and feeds
+// the existing row kernels.
 //
 // Blocking: one tile is laneBlock (16) samples wide, so a gather reads
 // 16 consecutive float64s (two cache lines) from each column and writes
@@ -25,9 +25,7 @@ package mtree
 // Equivalence: the transpose moves bits, the row kernels do the math.
 // Fused-columnar predictions are therefore bit-identical to per-sample
 // Predict — same routing, same eight-lane FMA dot schedule — at every
-// worker count, quantized or not, asm or pure Go. (The pre-PR10 direct
-// kernels survive behind WithColumnarDirect for measurement; they carry
-// the old 1e-9 contract.)
+// worker count, asm or pure Go.
 
 import (
 	"unsafe"

@@ -46,7 +46,7 @@ type scoreJob struct {
 // a hot model sheds load at the door instead of stacking goroutines.
 // The dispatcher coalesces queued jobs into batches of up to MaxBatch
 // samples, lingering at most BatchWait once it holds a partial batch,
-// and scores each batch through one PredictDataset call against the
+// and scores each batch through one compiled batch call against the
 // model resolved at flush time — which is what makes registry hot-swaps
 // take effect between batches with zero failed requests.
 type batcher struct {
@@ -255,7 +255,7 @@ func (b *batcher) flush(batch []*scoreJob) {
 
 // score resolves the model now (the hot-swap point), packs every live
 // job's rows into one batch, scores it, and scatters the outputs back.
-// Wide coalesced batches (ColumnarMin or more samples of uniform width)
+// Wide coalesced batches (columnarMin or more samples of uniform width)
 // go through the fused-columnar route: the rows are packed into one
 // contiguous column-major slab, so the kernel streams a single
 // allocation instead of chasing per-request row pointers scattered
@@ -313,14 +313,22 @@ func (b *batcher) score(live []*scoreJob) {
 	b.s.rec.Gauge("specchard_last_batch_samples").Set(float64(total))
 }
 
+// columnarMin is the coalesced batch size (total samples across the
+// flushed jobs) at or above which the batcher scores through the
+// fused-columnar route: rows are packed into one contiguous column-major
+// slab and scored with PredictColumnsCheckedContext instead of
+// scattering the kernel across per-request row allocations. Smaller
+// batches — single interactive samples above all — stay on the row path,
+// where packing the slab would cost more than it saves.
+const columnarMin = 256
+
 // scoreColumnar packs the live jobs' rows into one column-major slab
 // and scores it through the fused-columnar route. Returns (nil, nil)
 // when the batch should take the row path instead: below the
-// ColumnarMin threshold, the route disabled, or any row's width
-// disagreeing with the model's schema.
+// columnarMin threshold, or any row's width disagreeing with the
+// model's schema.
 func (b *batcher) scoreColumnar(ctx context.Context, tree *mtree.CompiledTree, live []*scoreJob, total int) ([]float64, error) {
-	min := b.s.cfg.ColumnarMin
-	if min <= 0 || total < min {
+	if total < columnarMin {
 		return nil, nil
 	}
 	w := tree.NumAttrs()

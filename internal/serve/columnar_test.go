@@ -10,13 +10,13 @@ import (
 	"specchar/internal/obs"
 )
 
-// TestColumnarRouteBitIdentical forces every batch through the
-// fused-columnar route (ColumnarMin 1) and holds served predictions
-// bitwise against per-sample Predict: the route swap must be
+// TestColumnarRouteBitIdentical sends batches at and above columnarMin,
+// so every one takes the fused-columnar route, and holds served
+// predictions bitwise against per-sample Predict: the route swap must be
 // unobservable in the outputs, not merely close.
 func TestColumnarRouteBitIdentical(t *testing.T) {
-	f := newFixture(t, Config{Recorder: obs.New(), ColumnarMin: 1})
-	for _, batch := range []int{1, 7, 64, 300} {
+	f := newFixture(t, Config{Recorder: obs.New()})
+	for _, batch := range []int{columnarMin, columnarMin + 1, 300, 1000} {
 		status, sr, emsg := f.score(t, "cpu2006", rowsOf(f.data, 0, batch))
 		if status != http.StatusOK {
 			t.Fatalf("batch %d: status %d (%s)", batch, status, emsg)
@@ -42,9 +42,8 @@ func TestColumnarRouteBitIdentical(t *testing.T) {
 }
 
 // TestColumnarThresholdGates pins the routing decision itself: batches
-// below ColumnarMin take the row path (counter stays absent), batches
-// at or above it take the columnar path, and a negative ColumnarMin
-// disables the route no matter how wide the batch is.
+// below columnarMin take the row path (counter stays absent), and
+// batches at or above it take the columnar path.
 func TestColumnarThresholdGates(t *testing.T) {
 	countOf := func(f *fixture) string {
 		resp, err := http.Get(f.ts.URL + "/metrics")
@@ -62,25 +61,17 @@ func TestColumnarThresholdGates(t *testing.T) {
 		return ""
 	}
 
-	f := newFixture(t, Config{Recorder: obs.New(), ColumnarMin: 100})
-	if status, _, e := f.score(t, "cpu2006", rowsOf(f.data, 0, 99)); status != 200 {
+	f := newFixture(t, Config{Recorder: obs.New()})
+	if status, _, e := f.score(t, "cpu2006", rowsOf(f.data, 0, columnarMin-1)); status != 200 {
 		t.Fatalf("sub-threshold score failed: %d (%s)", status, e)
 	}
 	if line := countOf(f); line != "" {
 		t.Fatalf("sub-threshold batch took the columnar route: %q", line)
 	}
-	if status, _, e := f.score(t, "cpu2006", rowsOf(f.data, 0, 100)); status != 200 {
+	if status, _, e := f.score(t, "cpu2006", rowsOf(f.data, 0, columnarMin)); status != 200 {
 		t.Fatalf("at-threshold score failed: %d (%s)", status, e)
 	}
 	if line := countOf(f); line != "specchard_columnar_batches_total 1" {
 		t.Fatalf("at-threshold batch missed the columnar route: %q", line)
-	}
-
-	off := newFixture(t, Config{Recorder: obs.New(), ColumnarMin: -1})
-	if status, _, e := off.score(t, "cpu2006", rowsOf(off.data, 0, 400)); status != 200 {
-		t.Fatalf("disabled-route score failed: %d (%s)", status, e)
-	}
-	if line := countOf(off); line != "" {
-		t.Fatalf("negative ColumnarMin still routed columnar: %q", line)
 	}
 }

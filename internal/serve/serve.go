@@ -10,9 +10,10 @@
 // instantly with 429 instead of building an unbounded backlog), and a
 // dispatcher goroutine coalesces queued requests into one batch — up to
 // MaxBatch samples, lingering at most BatchWait for stragglers — scored
-// through one CompiledTree.PredictDataset call. Batching amortizes the
-// per-call overhead across requests exactly like the offline pipeline
-// amortizes it across rows.
+// through one compiled batch call: PredictDatasetCheckedContext, or
+// PredictColumnsCheckedContext once a batch holds columnarMin samples.
+// Batching amortizes the per-call overhead across requests exactly like
+// the offline pipeline amortizes it across rows.
 //
 // Requests carry deadlines: an explicit one via the client package's
 // X-Deadline-Ms header, or the server-imposed Config.DefaultTimeout.
@@ -80,16 +81,6 @@ type Config struct {
 	// threshold anyway).
 	Workers int
 
-	// ColumnarMin is the coalesced batch size (total samples across the
-	// flushed jobs) at or above which the batcher scores through the
-	// fused-columnar route: rows are packed into one contiguous
-	// column-major slab and scored with PredictColumnsCheckedContext
-	// instead of scattering the kernel across per-request row
-	// allocations. Fused-columnar predictions are bit-identical to the
-	// row path, so the swap is invisible to clients. Default 256;
-	// negative disables the route entirely.
-	ColumnarMin int
-
 	// MaxBodyBytes caps request bodies (default 8 MiB).
 	MaxBodyBytes int64
 
@@ -114,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.ColumnarMin == 0 {
-		c.ColumnarMin = 256
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20

@@ -117,10 +117,13 @@ func rowsOf(d *dataset.Dataset, lo, hi int) [][]float64 {
 
 // Served scores must match the offline batch path bit-for-bit (well
 // inside the 1e-9 acceptance tolerance): the daemon is a transport
-// around PredictDataset, not a different scorer.
+// around the compiled batch scorer, not a different scorer.
 func TestServedScoresMatchPredictDataset(t *testing.T) {
 	f := newFixture(t, Config{})
-	want := f.tree.PredictDataset(f.data)
+	want, err := f.tree.PredictDatasetCheckedContext(context.Background(), f.data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, batch := range []int{1, 3, 16, 64, 200} {
 		for lo := 0; lo < 400; lo += batch {
 			hi := min(lo+batch, 400)
@@ -138,7 +141,7 @@ func TestServedScoresMatchPredictDataset(t *testing.T) {
 				w := want[lo+i]
 				scale := math.Max(1, math.Max(math.Abs(got), math.Abs(w)))
 				if math.Abs(got-w) > 1e-9*scale {
-					t.Fatalf("sample %d: served %v, PredictDataset %v", lo+i, got, w)
+					t.Fatalf("sample %d: served %v, offline batch %v", lo+i, got, w)
 				}
 			}
 		}
@@ -344,7 +347,10 @@ func TestHotSwapUnderConcurrentScoringZeroFailures(t *testing.T) {
 	probeDS := &dataset.Dataset{Schema: f.data.Schema, Samples: f.data.Samples[0:16]}
 	want := make([][]float64, versions+1)
 	for v := 1; v <= versions; v++ {
-		want[v] = trees[v].PredictDataset(probeDS)
+		var err error
+		if want[v], err = trees[v].PredictDatasetCheckedContext(context.Background(), probeDS); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var scored atomic.Int64

@@ -11,7 +11,9 @@
 #     AVX-512 kernel's win.
 #   - PredictColumnar*: the PR 7 in-place broadcast kernels measured on
 #     this container family immediately before the PR 10 tile-transpose
-#     rewrite — the speedup field documents the fused-columnar win.
+#     rewrite — the speedup field documents the fused-columnar win. Those
+#     direct kernels have since been deleted; these baselines and
+#     BENCH_PR10.json are their remaining record.
 #
 # Regression gate: BenchmarkPredictColumnarSerial is checked against the
 # PR 10 fused tile-transpose baseline times a noise multiplier; the run
