@@ -12,6 +12,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"specchar/internal/dataset"
 )
@@ -138,8 +139,26 @@ type Phase struct {
 	ILP float64
 }
 
-// Validate checks the phase for internally consistent parameters.
+// Validate checks the phase for internally consistent parameters. Every
+// float field must be finite: the range checks below are comparisons,
+// which NaN passes, and the generator's draw thresholds assume a number.
 func (p *Phase) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Weight", p.Weight},
+		{"LoadFrac", p.LoadFrac}, {"StoreFrac", p.StoreFrac}, {"BranchFrac", p.BranchFrac},
+		{"MulFrac", p.MulFrac}, {"DivFrac", p.DivFrac}, {"SIMDFrac", p.SIMDFrac},
+		{"FpAssistRate", p.FpAssistRate}, {"SeqFrac", p.SeqFrac}, {"HotFrac", p.HotFrac},
+		{"MisalignRate", p.MisalignRate}, {"StoreAliasRate", p.StoreAliasRate},
+		{"PartialOverlapFrac", p.PartialOverlapFrac}, {"BranchEntropy", p.BranchEntropy},
+		{"ILP", p.ILP},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("trace: %s is %v, not a finite number", f.name, f.v)
+		}
+	}
 	mix := p.LoadFrac + p.StoreFrac + p.BranchFrac + p.MulFrac + p.DivFrac + p.SIMDFrac
 	switch {
 	case p.LoadFrac < 0 || p.StoreFrac < 0 || p.BranchFrac < 0 ||
@@ -180,18 +199,21 @@ type Generator struct {
 	phase Phase
 	rng   *dataset.RNG
 
-	// mix holds the cumulative instruction-mix thresholds: Load, then
-	// +Store, +Branch, +Mul, +Div, +SIMD; a draw at or above the last is
-	// an ALU op.
-	mix [6]float64
+	// mix holds the cumulative instruction-mix thresholds as
+	// dataset.Chance draw thresholds: Load, then +Store, +Branch, +Mul,
+	// +Div, +SIMD; a draw at or above the last is an ALU op.
+	mix [6]uint64
+	// The phase's per-event probabilities as dataset.Chance thresholds,
+	// so every Bernoulli draw is one integer compare (RNG.Below).
+	seq, hot, misalign, storeAlias, partialOverlap, fpAssist uint64
 
 	dataBase uint64 // base virtual address of the data region
 	codeBase uint64
 	seqAddr  uint64 // cursor of the sequential access stream
 	pc       uint64 // cursor within the hot code region
 
-	branchBias []float64 // per-site probability of "taken"
-	branchPCs  []uint64
+	branchTaken []uint64 // per-site Chance threshold of "taken"
+	branchPCs   []uint64
 
 	recentStores ring // last stores for alias generation
 
@@ -280,25 +302,31 @@ func NewGeneratorSlot(phase Phase, rng *dataset.RNG, slot int) (*Generator, erro
 		dataBase: 0x10_0000_0000 + uint64(slot)*0x40_0000_0000,
 		codeBase: 0x40_0000, // code is shared between threads, as in OMP
 	}
-	// Accumulated left to right, so each threshold is the float64 the
-	// prefix sum LoadFrac+StoreFrac+... evaluates to; every generated
+	// Accumulated left to right, so each threshold is that of the float64
+	// the prefix sum LoadFrac+StoreFrac+... evaluates to; every generated
 	// dataset depends on these exact values.
 	var cum float64
 	for i, f := range [...]float64{phase.LoadFrac, phase.StoreFrac, phase.BranchFrac, phase.MulFrac, phase.DivFrac, phase.SIMDFrac} {
 		cum += f
-		g.mix[i] = cum
+		g.mix[i] = dataset.Chance(cum)
 	}
+	g.seq = dataset.Chance(phase.SeqFrac)
+	g.hot = dataset.Chance(phase.HotFrac)
+	g.misalign = dataset.Chance(phase.MisalignRate)
+	g.storeAlias = dataset.Chance(phase.StoreAliasRate)
+	g.partialOverlap = dataset.Chance(phase.PartialOverlapFrac)
+	g.fpAssist = dataset.Chance(phase.FpAssistRate)
 	g.seqAddr = g.dataBase
-	g.branchBias = make([]float64, phase.BranchSites)
+	g.branchTaken = make([]uint64, phase.BranchSites)
 	g.branchPCs = make([]uint64, phase.BranchSites)
-	for i := range g.branchBias {
+	for i := range g.branchTaken {
 		// Sites are individually biased; entropy interpolates each site's
 		// bias toward 0.5 (a coin flip). As in real code, most sites are
 		// strongly biased (loop back-edges, error checks) with a small
 		// middling tail — an iid site at p=0.7 is unpredictable by any
 		// predictor, so middling sites are kept rare.
 		bias := siteBias(rng)
-		g.branchBias[i] = bias*(1-phase.BranchEntropy) + 0.5*phase.BranchEntropy
+		g.branchTaken[i] = dataset.Chance(bias*(1-phase.BranchEntropy) + 0.5*phase.BranchEntropy)
 		g.branchPCs[i] = g.codeBase + uint64(rng.Intn(phase.CodeFootprint))&^3
 	}
 	return g, nil
@@ -343,10 +371,18 @@ func (g *Generator) Next() (op Op) {
 	return op
 }
 
+// NextInto overwrites *op with the next op of the stream, the same op
+// Next returns, for callers that reuse one Op across a loop instead of
+// copying a fresh one out per call.
+func (g *Generator) NextInto(op *Op) {
+	*op = Op{}
+	g.next(op)
+}
+
 // next fills the zero op with the next op of the stream.
 func (g *Generator) next(op *Op) {
 	g.opCount++
-	u := g.rng.Float64()
+	u := g.rng.Uint64() >> 11 // the draw Float64 would scale by 2⁻⁵³
 	op.PC = g.nextPC()
 	op.AliasDist = -1
 	switch {
@@ -362,17 +398,20 @@ func (g *Generator) next(op *Op) {
 		op.Kind = Div
 	case u < g.mix[5]:
 		op.Kind = SIMDOp
-		op.FpAssist = g.rng.Float64() < g.phase.FpAssistRate
+		op.FpAssist = g.rng.Below(g.fpAssist)
 	default:
 		op.Kind = ALU
 	}
 }
 
+// pcJump is the Chance threshold of nextPC's 2% long jump.
+var pcJump = dataset.Chance(0.02)
+
 // nextPC advances the instruction-address cursor through the hot code
 // region, wrapping at the code footprint. Occasional long jumps model
 // function calls across the region.
 func (g *Generator) nextPC() uint64 {
-	if g.rng.Float64() < 0.02 {
+	if g.rng.Below(pcJump) {
 		g.pc = uint64(g.rng.Intn(g.phase.CodeFootprint)) &^ 3
 	} else {
 		g.pc = (g.pc + 4) % uint64(g.phase.CodeFootprint)
@@ -389,13 +428,13 @@ func (g *Generator) dataAddr(size uint32) uint64 {
 	p := &g.phase
 	var addr uint64
 	switch {
-	case g.rng.Float64() < p.SeqFrac:
+	case g.rng.Below(g.seq):
 		g.seqAddr += uint64(size)
 		if g.seqAddr >= g.dataBase+uint64(p.DataFootprint) {
 			g.seqAddr = g.dataBase
 		}
 		addr = g.seqAddr
-	case g.rng.Float64() < p.HotFrac:
+	case g.rng.Below(g.hot):
 		addr = g.dataBase + uint64(g.rng.Intn(p.HotBytes))
 	default:
 		span := p.DataFootprint
@@ -406,7 +445,7 @@ func (g *Generator) dataAddr(size uint32) uint64 {
 	}
 	// Natural alignment unless a misalignment is injected.
 	addr &^= uint64(size) - 1
-	if size > 1 && g.rng.Float64() < p.MisalignRate {
+	if size > 1 && g.rng.Below(g.misalign) {
 		addr += uint64(1 + g.rng.Intn(int(size)-1))
 	}
 	return addr
@@ -415,13 +454,12 @@ func (g *Generator) dataAddr(size uint32) uint64 {
 func (g *Generator) genLoad(op *Op) {
 	op.Kind = Load
 	op.Size = g.accessSize()
-	p := &g.phase
-	if g.rng.Float64() < p.StoreAliasRate {
+	if g.rng.Below(g.storeAlias) {
 		if st, ok := g.recentStores.pick(g.rng); ok {
 			op.Addr = st.addr
 			op.Size = st.size
 			op.AliasDist = g.opCount - st.op
-			if g.rng.Float64() < p.PartialOverlapFrac {
+			if g.rng.Below(g.partialOverlap) {
 				// Load a narrower slice at a non-zero offset inside the
 				// stored bytes: partial overlap, hostile to forwarding.
 				op.PartialOverlap = true
@@ -444,8 +482,8 @@ func (g *Generator) genStore(op *Op) {
 }
 
 func (g *Generator) genBranch(op *Op) {
-	site := g.rng.Intn(len(g.branchBias))
+	site := g.rng.Intn(len(g.branchTaken))
 	op.Kind = Branch
 	op.PC = g.branchPCs[site]
-	op.Taken = g.rng.Float64() < g.branchBias[site]
+	op.Taken = g.rng.Below(g.branchTaken[site])
 }

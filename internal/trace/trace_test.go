@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"specchar/internal/dataset"
@@ -46,6 +48,55 @@ func TestPhaseValidate(t *testing.T) {
 		c.mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+		}
+	}
+}
+
+// TestPhaseValidateRejectsNonFinite sets every float field of Phase, in
+// turn, to NaN, +Inf and -Inf and requires Validate to reject the phase
+// naming that field. NaN passes every range comparison, so without an
+// explicit finiteness check it would validate.
+func TestPhaseValidateRejectsNonFinite(t *testing.T) {
+	typ := reflect.TypeOf(Phase{})
+	fields := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		fields++
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := basePhase()
+			reflect.ValueOf(&p).Elem().Field(i).SetFloat(v)
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), f.Name) {
+				t.Errorf("%s = %v: Validate returned %v, want an error naming the field", f.Name, v, err)
+			}
+		}
+	}
+	if fields != 15 {
+		t.Fatalf("Phase has %d float fields, want 15; check the list in Validate", fields)
+	}
+}
+
+// TestNextIntoMatchesNext requires NextInto, filling one reused Op, to
+// produce the same stream as Next, so no field of a previous op survives.
+func TestNextIntoMatchesNext(t *testing.T) {
+	p := basePhase()
+	p.FpAssistRate, p.MisalignRate = 0.2, 0.1
+	p.StoreAliasRate, p.PartialOverlapFrac = 0.3, 0.5
+	p.SeqFrac, p.HotFrac = 0.3, 0.5
+	a, err := NewGenerator(p, dataset.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := NewGenerator(p, dataset.NewRNG(9))
+	var op Op
+	for i := 0; i < 50_000; i++ {
+		want := a.Next()
+		b.NextInto(&op)
+		if op != want {
+			t.Fatalf("op %d: NextInto %+v, Next %+v", i, op, want)
 		}
 	}
 }

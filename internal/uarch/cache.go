@@ -1,11 +1,13 @@
 // Package uarch is a trace-driven model of a Core 2-class processor core:
 // set-associative L1 instruction, L1 data and L2 caches, a data TLB with a
-// hardware page walker, an instruction TLB, a gshare branch predictor, and
-// store-to-load forwarding with the three blocking conditions the paper's
-// events describe (unknown store address, unready store data, partial
-// overlap). Executing a synthetic op stream against these state machines
-// yields the per-window event counts and cycle totals that
-// internal/pmu turns into model samples.
+// hardware page walker, an instruction TLB, a local-history two-level
+// branch predictor (per-site history registers indexing 2-bit counters;
+// BranchPredictor explains why not gshare), and store-to-load forwarding
+// with the three blocking conditions the paper's events describe (unknown
+// store address, unready store data, partial overlap). Executing a
+// synthetic op stream against these state machines yields the per-window
+// event counts and cycle totals that internal/pmu turns into model
+// samples.
 //
 // The simulator is statistical, not cycle-accurate: cycles accumulate
 // through an additive cost model with an ILP overlap divisor, which is all
@@ -23,9 +25,17 @@ import (
 //
 // Each way is a key and an LRU stamp. A key is the line's tag with bit 63
 // set, so 0 marks an empty way and a hit is one compare per way; a stamp
-// is the cache's access tick at the way's last use, 0 while empty. Ticks
-// only increase, so no two filled ways share a stamp and the LRU victim is
+// is the cache's tick at the way's last use, 0 while empty. Ticks only
+// increase, so no two filled ways share a stamp and the LRU victim is
 // unique.
+//
+// The cache also remembers the address range of the line it accessed
+// last. A repeat of that line (the next instruction fetch in the same
+// line, the next access to the same page) is a hit that touches no state
+// at all. It must be a hit: evicting the line takes an access to another
+// line, which would have moved the memo. It may skip the restamp: the
+// last access gave the line's way the cache's newest stamp, and a newer
+// one would change no stamp order, which is all replacement compares.
 type Cache struct {
 	lineShift uint
 	tagShift  uint // line-number bits consumed by the set index
@@ -34,6 +44,9 @@ type Cache struct {
 	keys      []uint64 // sets*ways entries, set-major: tag|validKey, or 0
 	used      []uint64 // LRU stamps, parallel to keys
 	tick      uint64
+	// The last accessed line is [lastBase, lastBase+lastSpan); lastSpan
+	// is the line size, or 0 (no line) while the cache is empty.
+	lastBase, lastSpan uint64
 }
 
 // validKey marks a filled way's key. A tag drops the line offset and the
@@ -77,8 +90,18 @@ func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 // Access looks up the line containing addr, inserting it on a miss
 // (evicting the LRU way). It reports whether the access hit.
 func (c *Cache) Access(addr uint64) bool {
+	if addr-c.lastBase < c.lastSpan {
+		return true // the last line again (see Cache); small enough to inline
+	}
+	return c.access(addr)
+}
+
+// access is Access past the last-line memo: a set search, then a fill on
+// a miss. Either way the line becomes the memo.
+func (c *Cache) access(addr uint64) bool {
 	c.tick++
 	line := addr >> c.lineShift
+	c.lastBase, c.lastSpan = line<<c.lineShift, 1<<c.lineShift
 	key := line>>c.tagShift | validKey
 	base := int(line&c.setMask) * c.ways
 	keys := c.keys[base : base+c.ways : base+c.ways]
@@ -116,6 +139,7 @@ func (c *Cache) Reset() {
 	clear(c.keys)
 	clear(c.used)
 	c.tick = 0
+	c.lastSpan = 0
 }
 
 // TLB is a set-associative translation buffer over fixed-size pages,

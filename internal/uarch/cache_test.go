@@ -107,8 +107,10 @@ func (g geometry) build(t *testing.T) (access func(uint64) bool, reset func()) {
 // addrStreams returns named address streams: uniform random over spans
 // from inside L1D to far beyond L2, random 64-bit addresses, strides
 // that revisit a window of lines, pages or whole set rows (every access
-// to one set), and the data and instruction addresses of a simulated
-// phase.
+// to one set), the data and instruction addresses of a simulated phase,
+// and streams aimed at Cache's last-access memo: sequential instruction
+// fetch, runs within one page, and a line re-hit just before its set is
+// flushed by fresh fills and touched again.
 func addrStreams(t *testing.T) map[string][]uint64 {
 	t.Helper()
 	const n = 1 << 15
@@ -154,13 +156,54 @@ func addrStreams(t *testing.T) map[string][]uint64 {
 		}
 	}
 	streams["phase/data"], streams["phase/code"] = data, code
+
+	// Instruction fetch: 4-byte steps through a 1 MiB code region with a
+	// 2% jump, so most fetches repeat the last line and page.
+	pcs := make([]uint64, n)
+	pc := uint64(0)
+	for i := range pcs {
+		if rng.Intn(50) == 0 {
+			pc = uint64(rng.Intn(1<<20)) &^ 3
+		} else {
+			pc = (pc + 4) % (1 << 20)
+		}
+		pcs[i] = 0x40_0000 + pc
+	}
+	streams["memo/pc"] = pcs
+	// TLB runs: 1-64 accesses within one page, then another of 1024
+	// pages (four times the DTLB), so runs end in misses and evictions.
+	var runs []uint64
+	for len(runs) < n {
+		page := 0x10_0000_0000 + uint64(rng.Intn(1024))<<12
+		for k := 1 + rng.Intn(64); k > 0; k-- {
+			runs = append(runs, page+uint64(rng.Intn(4096)))
+		}
+	}
+	streams["memo/page-runs"] = runs
+	// A line hit twice (the second time through the memo), then 17 fresh
+	// lines of the same set in every geometry (1 MiB is a multiple of
+	// each set row), which evicts it even from the 16-way L2, then the
+	// line again: a memo left pointing at the evicted way would hit.
+	var evict []uint64
+	for fresh := uint64(0); len(evict) < n; {
+		a := 0x20_0000_0000 + fresh<<20
+		fresh++
+		evict = append(evict, a, a)
+		for k := 0; k < 17; k++ {
+			evict = append(evict, 0x20_0000_0000+fresh<<20)
+			fresh++
+		}
+		evict = append(evict, a)
+	}
+	streams["memo/evict"] = evict
 	return streams
 }
 
 // TestCacheMatchesReference replays every stream through Cache (TLB for
 // the TLB geometries) and the reference at the default L1D, L2, DTLB and
-// ITLB geometries, resetting both halfway, and requires the same hit or
-// miss on every access.
+// ITLB geometries, resetting both halfway and then repeating the last
+// address before the Reset (which must miss, whatever the memo held), and
+// requires the same hit or miss on every access.
 func TestCacheMatchesReference(t *testing.T) {
 	streams := addrStreams(t)
 	for _, g := range defaultGeometries() {
@@ -171,6 +214,10 @@ func TestCacheMatchesReference(t *testing.T) {
 				if i == len(s)/2 {
 					reset()
 					ref.Reset()
+					last := s[i-1]
+					if got, want := access(last), ref.Access(last>>g.shift); got != want {
+						t.Fatalf("%s %s: repeat of %#x after Reset hit=%v, reference %v", g.name, name, last, got, want)
+					}
 				}
 				if got, want := access(a), ref.Access(a>>g.shift); got != want {
 					t.Fatalf("%s %s: access %d (%#x) hit=%v, reference %v", g.name, name, i, a, got, want)
@@ -181,52 +228,76 @@ func TestCacheMatchesReference(t *testing.T) {
 }
 
 // TestCorePairSharedL2MatchesReference drives the L2 a NewCorePair
-// shares through both cores in alternating windows of two slot
-// generators, with one Reset through the sibling core, against a single
-// reference cache. The L2 is shrunk to 256 KiB so the two threads'
-// 3 MiB footprints keep evicting each other.
+// shares through both cores against a single reference cache, with one
+// Reset through the sibling core halfway followed by a repeat of the
+// last address. The L2 is shrunk to 256 KiB so the two threads' 3 MiB
+// footprints keep evicting each other. The cores alternate in two ways:
+// in 1024-op windows of two slot generators with disjoint data, and op
+// by op over the same data region with mostly sequential access, where
+// each core keeps touching the line the other just did — the shared
+// cache's last-access memo then passes between the cores.
 func TestCorePairSharedL2MatchesReference(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.L2Size = 256 << 10
-	a, b, err := NewCorePair(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefCache(cfg.L2Size, cfg.L2Ways, cfg.LineBytes)
-	p := trace.Phase{LoadFrac: 0.4, StoreFrac: 0.1, DataFootprint: 3 << 20, SeqFrac: 0.2, HotFrac: 0.5}
-	cores := []*Core{a, b}
-	var gens []*trace.Generator
-	for slot := range cores {
-		g, err := trace.NewGeneratorSlot(p, dataset.NewRNG(uint64(slot+1)), slot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gens = append(gens, g)
-	}
-	hits, n := 0, 0
-	for w := 0; w < 128; w++ {
-		if w == 64 {
-			b.Reset()
-			ref.Reset()
-		}
-		k := w % 2
-		for i := 0; i < 1024; i++ {
-			op := gens[k].Next()
-			if op.Kind != trace.Load && op.Kind != trace.Store {
-				continue
+	for _, tc := range []struct {
+		name    string
+		window  int
+		sameRgn bool
+		seqFrac float64
+	}{
+		{"windows", 1024, false, 0.2},
+		{"interleaved", 1, true, 0.9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.L2Size = 256 << 10
+			a, b, err := NewCorePair(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got, want := cores[k].l2.Access(op.Addr), ref.Access(op.Addr)
-			if got != want {
-				t.Fatalf("window %d core %d: access %#x hit=%v, reference %v", w, k, op.Addr, got, want)
+			ref := newRefCache(cfg.L2Size, cfg.L2Ways, cfg.LineBytes)
+			p := trace.Phase{LoadFrac: 0.4, StoreFrac: 0.1, DataFootprint: 3 << 20, SeqFrac: tc.seqFrac, HotFrac: 0.5}
+			cores := []*Core{a, b}
+			var gens []*trace.Generator
+			for slot := range cores {
+				rgn := slot
+				if tc.sameRgn {
+					rgn = 0
+				}
+				g, err := trace.NewGeneratorSlot(p, dataset.NewRNG(uint64(slot+1)), rgn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gens = append(gens, g)
 			}
-			if got {
-				hits++
+			const ops = 128 * 1024
+			hits, n := 0, 0
+			var last uint64
+			for i := 0; i < ops; i++ {
+				k := i / tc.window % 2
+				if i == ops/2 {
+					b.Reset()
+					ref.Reset()
+					if got, want := a.l2.Access(last), ref.Access(last); got != want {
+						t.Fatalf("repeat of %#x after Reset hit=%v, reference %v", last, got, want)
+					}
+				}
+				op := gens[k].Next()
+				if op.Kind != trace.Load && op.Kind != trace.Store {
+					continue
+				}
+				got, want := cores[k].l2.Access(op.Addr), ref.Access(op.Addr)
+				if got != want {
+					t.Fatalf("op %d core %d: access %#x hit=%v, reference %v", i, k, op.Addr, got, want)
+				}
+				if got {
+					hits++
+				}
+				n++
+				last = op.Addr
 			}
-			n++
-		}
-	}
-	if hits == 0 || hits == n {
-		t.Fatalf("shared L2 saw %d/%d hits; the stream exercises no replacement", hits, n)
+			if hits == 0 || hits == n {
+				t.Fatalf("shared L2 saw %d/%d hits; the stream exercises no replacement", hits, n)
+			}
+		})
 	}
 }
 
@@ -238,6 +309,11 @@ func FuzzCacheAccess(f *testing.F) {
 	f.Add(uint8(0x25), uint64(0x10_0000_0000), uint16(64), []byte{0, 1, 2, 0, 3, 4, 0xff, 1, 2})
 	f.Add(uint8(0xff), uint64(1)<<63, uint16(1024), []byte("set-row thrash: every byte one line"))
 	f.Add(uint8(0x1c), ^uint64(0), uint16(1), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5})
+	// Last-access memo: repeats of one line, a repeat straight after a
+	// Reset, and (direct-mapped, one set) a line hit, evicted by a fill,
+	// then touched again.
+	f.Add(uint8(0x40), uint64(0x1000), uint16(1), []byte{0, 1, 2, 3, 3, 64, 64, 0xff, 64, 64, 0xff, 65})
+	f.Add(uint8(0x20), uint64(0), uint16(2), []byte{5, 5, 9, 5, 9, 9, 5, 0xff, 5, 9, 5})
 	f.Fuzz(func(t *testing.T, shape uint8, base uint64, stride uint16, ops []byte) {
 		sets := 1 << (shape & 3)
 		ways := 1 + int(shape>>2&7)

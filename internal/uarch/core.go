@@ -260,76 +260,105 @@ func (c *Core) RunStack(gen *trace.Generator, nOps int) (pmu.Counts, CPIStack) {
 	if ilp < 1 {
 		ilp = 1
 	}
-	var w pmu.Counts
-	var st CPIStack
-	w.Instructions = float64(nOps)
+	// Each ILP-scaled penalty is divided once here rather than per event:
+	// the same division yields the same float64, and the stack still adds
+	// it event by event in the same order.
+	win := window{
+		pageWalk:  cfg.PageWalkPenalty / ilp,
+		l1iMiss:   cfg.L1IMissPenalty / ilp,
+		ifetchMem: cfg.IFetchMemPenalty / ilp,
+		l1dMiss:   cfg.L1DMissPenalty / ilp,
+		prefetch:  cfg.PrefetchPenalty / ilp,
+		l2Miss:    cfg.L2MissPenalty / ilp,
+		storeMiss: cfg.StoreMissPenalty / ilp,
+	}
+	st := &win.st
+	ev := &win.ev
 	st[StackBase] = cfg.BaseCPI * float64(nOps)
 
+	var op trace.Op
 	for i := 0; i < nOps; i++ {
-		op := gen.Next()
+		gen.NextInto(&op)
 
 		// Instruction-side: every op fetches through L1I/ITLB.
 		if !c.itlb.Access(op.PC) {
-			w.Ev[pmu.PageWalk]++
-			st[StackPageWalk] += cfg.PageWalkPenalty / ilp
+			ev[pmu.PageWalk]++
+			st[StackPageWalk] += win.pageWalk
 		}
 		if !c.l1i.Access(op.PC) {
-			w.Ev[pmu.L1IMiss]++
+			ev[pmu.L1IMiss]++
 			if c.l2.Access(op.PC) {
-				st[StackIFetch] += cfg.L1IMissPenalty / ilp
+				st[StackIFetch] += win.l1iMiss
 			} else {
-				st[StackIFetch] += cfg.IFetchMemPenalty / ilp
+				st[StackIFetch] += win.ifetchMem
 			}
 		}
 
 		switch op.Kind {
 		case trace.Load:
-			w.Ev[pmu.Load]++
-			c.load(&op, &w, &st, ilp)
+			ev[pmu.Load]++
+			c.load(&op, &win)
 		case trace.Store:
-			w.Ev[pmu.Store]++
-			c.store(&op, &w, &st, ilp)
+			ev[pmu.Store]++
+			c.store(&op, &win)
 		case trace.Branch:
-			w.Ev[pmu.Br]++
+			ev[pmu.Br]++
 			if !c.bp.Predict(op.PC, op.Taken) {
-				w.Ev[pmu.MisprBr]++
+				ev[pmu.MisprBr]++
 				st[StackBranch] += cfg.MispredictPenalty
 			}
 		case trace.Mul:
-			w.Ev[pmu.Mul]++
+			ev[pmu.Mul]++
 			st[StackCompute] += cfg.MulCost
 		case trace.Div:
-			w.Ev[pmu.Div]++
+			ev[pmu.Div]++
 			st[StackCompute] += cfg.DivCost
 		case trace.SIMDOp:
-			w.Ev[pmu.SIMD]++
+			ev[pmu.SIMD]++
 			st[StackCompute] += cfg.SIMDCost
 			if op.FpAssist {
-				w.Ev[pmu.FpAsst]++
+				ev[pmu.FpAsst]++
 				st[StackFpAssist] += cfg.FpAssistPenalty
 			}
 		}
 	}
+	// Integer counts convert exactly: each is at most 2·nOps, far below
+	// 2⁵³, so the float64 equals the sum of the per-event increments.
+	var w pmu.Counts
+	w.Instructions = float64(nOps)
+	for e, n := range ev {
+		w.Ev[e] = float64(n)
+	}
 	w.Cycles = st.Total()
-	return w, st
+	return w, *st
 }
 
-// load simulates one load, charging its cycle costs into the stack.
-func (c *Core) load(op *trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
+// window is the running state of one RunStack call: the integer event
+// counts, the CPI stack, and the call's ILP-scaled penalties.
+type window struct {
+	ev [pmu.NumEvents]uint64
+	st CPIStack
+
+	pageWalk, l1iMiss, ifetchMem, l1dMiss, prefetch, l2Miss, storeMiss float64
+}
+
+// load simulates one load, charging its cycle costs into the window.
+func (c *Core) load(op *trace.Op, win *window) {
 	cfg := &c.cfg
+	ev, st := &win.ev, &win.st
 
 	// Store-to-load interactions first: a load whose data comes from a
 	// recent store hits the store buffer, not the cache.
 	if op.AliasDist >= 0 {
 		switch {
 		case op.AliasDist <= cfg.StAWindow:
-			w.Ev[pmu.LdBlkStA]++
+			ev[pmu.LdBlkStA]++
 			st[StackStoreBlock] += cfg.LdBlkStAPenalty
 		case op.AliasDist <= cfg.StdWindow:
-			w.Ev[pmu.LdBlkStd]++
+			ev[pmu.LdBlkStd]++
 			st[StackStoreBlock] += cfg.LdBlkStdPenalty
 		case op.PartialOverlap && op.AliasDist <= cfg.RetireWindow:
-			w.Ev[pmu.LdBlkOlp]++
+			ev[pmu.LdBlkOlp]++
 			st[StackStoreBlock] += cfg.LdBlkOlpPenalty
 		}
 		// Forwarded (or just-blocked-then-forwarded) loads do not touch
@@ -337,42 +366,41 @@ func (c *Core) load(op *trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
 		return
 	}
 
-	c.alignmentCost(op, w, st, pmu.SplitLoad)
+	c.alignmentCost(op, win, pmu.SplitLoad)
 
 	if !c.dtlb.Access(op.Addr) {
-		w.Ev[pmu.DtlbMiss]++
-		w.Ev[pmu.PageWalk]++
-		st[StackPageWalk] += cfg.PageWalkPenalty / ilp
+		ev[pmu.DtlbMiss]++
+		ev[pmu.PageWalk]++
+		st[StackPageWalk] += win.pageWalk
 	}
 	if !c.l1d.Access(op.Addr) {
-		w.Ev[pmu.L1DMiss]++
+		ev[pmu.L1DMiss]++
 		if c.l2.Access(op.Addr) {
-			st[StackL1D] += cfg.L1DMissPenalty / ilp
+			st[StackL1D] += win.l1dMiss
 		} else {
 			// Demand load misses count as retired-load L2 misses whether
 			// or not the stream prefetcher has the line in flight — the
 			// PMU counts the miss; the prefetcher only hides its latency.
-			w.Ev[pmu.L2Miss]++
+			ev[pmu.L2Miss]++
 			if c.prefetched(op.Addr >> c.l2.lineShift) {
-				st[StackPrefetch] += cfg.PrefetchPenalty / ilp
+				st[StackPrefetch] += win.prefetch
 			} else {
-				st[StackL2] += cfg.L2MissPenalty / ilp
+				st[StackL2] += win.l2Miss
 			}
 		}
 	}
 }
 
-// store simulates one store, charging its cycle costs into the stack.
+// store simulates one store, charging its cycle costs into the window.
 // Store misses are mostly hidden by the store buffer; they perturb cache
 // and TLB state but carry only a small direct penalty, and the PMU's
 // load-centric miss events do not count them.
-func (c *Core) store(op *trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
-	cfg := &c.cfg
-	c.alignmentCost(op, w, st, pmu.SplitStore)
+func (c *Core) store(op *trace.Op, win *window) {
+	c.alignmentCost(op, win, pmu.SplitStore)
 	if !c.dtlb.Access(op.Addr) {
-		w.Ev[pmu.DtlbMiss]++
-		w.Ev[pmu.PageWalk]++
-		st[StackPageWalk] += cfg.PageWalkPenalty / ilp
+		win.ev[pmu.DtlbMiss]++
+		win.ev[pmu.PageWalk]++
+		win.st[StackPageWalk] += win.pageWalk
 	}
 	if !c.l1d.Access(op.Addr) {
 		if !c.l2.Access(op.Addr) {
@@ -382,21 +410,21 @@ func (c *Core) store(op *trace.Op, w *pmu.Counts, st *CPIStack, ilp float64) {
 			// buffer either way).
 			c.prefetched(op.Addr >> c.l2.lineShift)
 		}
-		st[StackStoreMiss] += cfg.StoreMissPenalty / ilp
+		win.st[StackStoreMiss] += win.storeMiss
 	}
 }
 
 // alignmentCost counts split/misaligned accesses and charges their cost.
-func (c *Core) alignmentCost(op *trace.Op, w *pmu.Counts, st *CPIStack, splitEvent pmu.EventID) {
+func (c *Core) alignmentCost(op *trace.Op, win *window, splitEvent pmu.EventID) {
 	cfg := &c.cfg
 	misaligned := op.Size > 0 && op.Addr%uint64(op.Size) != 0
 	if misaligned {
-		w.Ev[pmu.Misalign]++
-		st[StackAlign] += cfg.MisalignPenalty
+		win.ev[pmu.Misalign]++
+		win.st[StackAlign] += cfg.MisalignPenalty
 	}
 	if c.l1d.Splits(op.Addr, op.Size) {
-		w.Ev[splitEvent]++
-		st[StackAlign] += cfg.SplitPenalty
+		win.ev[splitEvent]++
+		win.st[StackAlign] += cfg.SplitPenalty
 	}
 }
 
