@@ -15,7 +15,6 @@
 //	          [-read-timeout D] [-write-timeout D] [-idle-timeout D]
 //	          [-read-header-timeout D]
 //	          [-drain D] [-log-json]
-//	specchard -selfbench [-selfbench-duration D]
 //
 // With -state-dir the registry is durable: every load stages the
 // artifact and journals the mutation before publishing it, and a
@@ -42,8 +41,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -51,7 +48,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -105,8 +101,6 @@ type options struct {
 	idleTimeout       time.Duration
 	drain             time.Duration
 	logJSON           bool
-	selfbench         bool
-	selfbenchDur      time.Duration
 }
 
 func main() {
@@ -131,25 +125,10 @@ func main() {
 	flag.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
 	flag.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 	flag.BoolVar(&o.logJSON, "log-json", false, "stream the span trace as JSON Lines to stderr")
-	flag.BoolVar(&o.selfbench, "selfbench", false, "start an ephemeral daemon, load-test it at batch 1/16/64, print JSON, exit")
-	flag.DurationVar(&o.selfbenchDur, "selfbench-duration", 3*time.Second, "duration of each -selfbench phase")
 	flag.Parse()
 
 	if err := run(o); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// httpServer wraps the handler in a hardened http.Server: every timeout
-// set, so one stalled peer cannot pin a connection (and its goroutine)
-// forever. Used by both the daemon and the selfbench harness.
-func (o options) httpServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: o.readHeaderTimeout,
-		ReadTimeout:       o.readTimeout,
-		WriteTimeout:      o.writeTimeout,
-		IdleTimeout:       o.idleTimeout,
 	}
 }
 
@@ -199,10 +178,6 @@ func run(o options) error {
 	}
 	defer reg.Close()
 
-	if o.selfbench {
-		return runSelfbench(rec, reg, o)
-	}
-
 	if err := loadModels(reg, o.models, o.train, o.quick); err != nil {
 		return err
 	}
@@ -224,7 +199,15 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	hs := o.httpServer(srv.Handler())
+	// Every timeout is set, so one stalled peer cannot pin a connection
+	// (and its goroutine) forever.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: o.readHeaderTimeout,
+		ReadTimeout:       o.readTimeout,
+		WriteTimeout:      o.writeTimeout,
+		IdleTimeout:       o.idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -324,114 +307,4 @@ func trainSuite(name string, quick bool) (*mtree.CompiledTree, error) {
 		return nil, err
 	}
 	return tree.Compile()
-}
-
-// runSelfbench starts an ephemeral daemon on a loopback port with a
-// quick-trained cpu2006 model, drives it at batch sizes 1, 16 and 64
-// with serve.RunLoad, and prints one JSON document of the results —
-// the source of BENCH_PR6.json.
-func runSelfbench(rec *obs.Recorder, reg *registry.Registry, o options) error {
-	log.Print("selfbench: training quick cpu2006 model")
-	tree, err := trainSuite("cpu2006", true)
-	if err != nil {
-		return err
-	}
-	if _, err := reg.Load("cpu2006", tree, "selfbench"); err != nil {
-		return err
-	}
-	srv, err := serve.New(serve.Config{
-		Registry:   reg,
-		Recorder:   rec,
-		MaxBatch:   o.maxBatch,
-		BatchWait:  o.batchWait,
-		MaxPending: o.maxPending,
-		Workers:    o.workers,
-	})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := o.httpServer(srv.Handler())
-	go hs.Serve(ln)
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
-
-	// A pool of schema-width sample vectors drawn from the suite's
-	// generator, so requests exercise real split paths.
-	samples, err := benchSamples(tree)
-	if err != nil {
-		return err
-	}
-	conc := 4 * runtime.GOMAXPROCS(0)
-	results := make([]*serve.LoadResult, 0, 3)
-	for _, batch := range []int{1, 16, 64} {
-		log.Printf("selfbench: batch %d, concurrency %d, %s", batch, conc, o.selfbenchDur)
-		res, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-			URL:         base,
-			Model:       "cpu2006",
-			Samples:     samples,
-			Batch:       batch,
-			Concurrency: conc,
-			Duration:    o.selfbenchDur,
-		})
-		if err != nil {
-			// Saturation 429s are data, not faults; report and keep going.
-			log.Printf("selfbench: batch %d: %v", batch, err)
-		}
-		if res != nil {
-			results = append(results, res)
-		}
-	}
-	// The headline is peak samples/second, not QPS: at batch 64 each
-	// request carries 64× the work of a batch-1 request, so raw QPS
-	// reads lower at larger batches even as actual scoring throughput
-	// climbs — samples/sec is the comparable number across phases.
-	doc := struct {
-		Bench                string              `json:"bench"`
-		Model                string              `json:"model"`
-		PeakSamplesPerSecond float64             `json:"peak_samples_per_second"`
-		PeakBatch            int                 `json:"peak_batch"`
-		GOMAXPROCS           int                 `json:"gomaxprocs"`
-		Phases               []*serve.LoadResult `json:"phases"`
-	}{
-		Bench:      "specchard selfbench",
-		Model:      "cpu2006 (quick)",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Phases:     results,
-	}
-	for _, r := range results {
-		if r.SamplesPerSecond > doc.PeakSamplesPerSecond {
-			doc.PeakSamplesPerSecond = r.SamplesPerSecond
-			doc.PeakBatch = r.Batch
-		}
-	}
-	log.Printf("selfbench: peak %.0f samples/sec at batch %d", doc.PeakSamplesPerSecond, doc.PeakBatch)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// benchSamples generates a pool of predictor vectors for the load test
-// from the quick cpu2006 dataset.
-func benchSamples(tree *mtree.CompiledTree) ([][]float64, error) {
-	gen := suites.DefaultGenOptions()
-	gen.SamplesPerBenchmark = 8
-	gen.OpsPerWindow = 512
-	gen.WarmupOps = 8000
-	d, err := suites.Generate(suites.CPU2006(), gen)
-	if err != nil {
-		return nil, err
-	}
-	if d.Schema.NumAttrs() != tree.NumAttrs() {
-		return nil, errors.New("selfbench: generated samples do not match the model schema")
-	}
-	rows := make([][]float64, d.Len())
-	for i := range rows {
-		rows[i] = d.Samples[i].X
-	}
-	return rows, nil
 }

@@ -1,8 +1,8 @@
 // Package profiling wires runtime/pprof into the CLIs: a CPU profile
 // spanning the run and a heap profile written at shutdown, each gated on
-// a flag-supplied output path. It exists so both cmd/mtree and
-// cmd/specchar expose identical -cpuprofile/-memprofile behaviour without
-// duplicating the start/stop choreography.
+// a flag-supplied output path. It exists so cmd/mtree, cmd/specchar and
+// cmd/experiments expose identical -cpuprofile/-memprofile behaviour
+// without duplicating the start/stop choreography.
 package profiling
 
 import (
