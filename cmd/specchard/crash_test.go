@@ -210,9 +210,13 @@ func observe(t *testing.T, cl *client.Client, probe []float64) (int, float64, bo
 	return m.Version, res.Predictions[0], true
 }
 
+// newCrashClient builds a client that never retries, so each call is
+// one attempt. A crash client makes at most a handful of attempts (a
+// health poll, GetModel, Score, PutModel), fewer than the breaker's
+// 32-outcome window, so its breaker can never open.
 func newCrashClient(t *testing.T, base string) *client.Client {
 	t.Helper()
-	cl, err := client.New(client.Config{BaseURL: base, MaxRetries: -1, RetryBudget: -1, BreakerWindow: -1})
+	cl, err := client.New(client.Config{BaseURL: base, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +285,6 @@ func startDaemon(t *testing.T, bin, stateDir, faults string) *daemonProc {
 		"-addr", "127.0.0.1:0",
 		"-state-dir", stateDir,
 		"-state-compact-bytes", "2048",
-		"-batch-wait", "1ms",
 	)
 	cmd.Env = append(os.Environ(), "SPECCHAR_FAULTS="+faults)
 	stderr, err := cmd.StderrPipe()

@@ -10,7 +10,7 @@
 //	specchard [-addr host:port] [-model name=artifact.sct ...]
 //	          [-train cpu2006,omp2001] [-quick]
 //	          [-state-dir DIR] [-state-compact-bytes N]
-//	          [-workers N] [-max-batch N] [-batch-wait D] [-max-pending N]
+//	          [-workers N] [-max-batch N] [-max-pending N]
 //	          [-default-timeout D] [-retry-after D]
 //	          [-read-timeout D] [-write-timeout D] [-idle-timeout D]
 //	          [-read-header-timeout D]
@@ -89,7 +89,6 @@ type options struct {
 	quick             bool
 	workers           int
 	maxBatch          int
-	batchWait         time.Duration
 	maxPending        int
 	defaultTimeout    time.Duration
 	retryAfter        time.Duration
@@ -113,7 +112,6 @@ func main() {
 	flag.BoolVar(&o.quick, "quick", false, "reduced-scale -train generation")
 	flag.IntVar(&o.workers, "workers", 0, "goroutine bound per scoring batch (0 = serve default)")
 	flag.IntVar(&o.maxBatch, "max-batch", 0, "max samples per scoring batch (0 = serve default)")
-	flag.DurationVar(&o.batchWait, "batch-wait", 0, "linger for stragglers once a batch is open (0 = serve default)")
 	flag.IntVar(&o.maxPending, "max-pending", 0, "admission bound: queued samples per model (0 = serve default)")
 	flag.DurationVar(&o.defaultTimeout, "default-timeout", 0, "deadline for score requests without an explicit X-Deadline-Ms header (0 = none)")
 	flag.DurationVar(&o.retryAfter, "retry-after", 0, "Retry-After hint on 429/503 responses (0 = serve default)")
@@ -185,7 +183,6 @@ func run(o options) error {
 		Registry:       reg,
 		Recorder:       rec,
 		MaxBatch:       o.maxBatch,
-		BatchWait:      o.batchWait,
 		MaxPending:     o.maxPending,
 		Workers:        o.workers,
 		DefaultTimeout: o.defaultTimeout,

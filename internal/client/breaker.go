@@ -17,7 +17,6 @@ import (
 // keeps one early failure from tripping a cold client.
 type breaker struct {
 	mu        sync.Mutex
-	disabled  bool
 	threshold float64
 	cooldown  time.Duration
 
@@ -31,10 +30,6 @@ type breaker struct {
 }
 
 func (b *breaker) init(window int, threshold float64, cooldown time.Duration) {
-	if window < 0 {
-		b.disabled = true
-		return
-	}
 	b.ring = make([]bool, window)
 	b.threshold = threshold
 	b.cooldown = cooldown
@@ -42,9 +37,6 @@ func (b *breaker) init(window int, threshold float64, cooldown time.Duration) {
 
 // allow decides whether an attempt may proceed now.
 func (b *breaker) allow(now time.Time) error {
-	if b.disabled {
-		return nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.open {
@@ -61,9 +53,6 @@ func (b *breaker) allow(now time.Time) error {
 // record feeds an attempt outcome back into the window and drives the
 // state machine.
 func (b *breaker) record(success bool, now time.Time) {
-	if b.disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.probing {
@@ -111,26 +100,18 @@ func (b *breaker) reset() {
 // load retries can add on top of first attempts — roughly cap extra
 // requests per burst, sustained only at half the success rate.
 type budget struct {
-	mu       sync.Mutex
-	disabled bool
-	cap      float64
-	tokens   float64
+	mu     sync.Mutex
+	cap    float64
+	tokens float64
 }
 
 func (g *budget) init(capacity int) {
-	if capacity < 0 {
-		g.disabled = true
-		return
-	}
 	g.cap = float64(capacity)
 	g.tokens = g.cap
 }
 
 // spend takes one token, reporting false if the bucket is dry.
 func (g *budget) spend() bool {
-	if g.disabled {
-		return true
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.tokens < 1 {
@@ -142,9 +123,6 @@ func (g *budget) spend() bool {
 
 // refill credits a successful request.
 func (g *budget) refill() {
-	if g.disabled {
-		return
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.tokens += 0.5

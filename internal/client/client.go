@@ -2,8 +2,9 @@
 // daemon — the one place in the tree that knows how to talk to the HTTP
 // surface and how to fail well while doing it.
 //
-// Every call goes through one retry loop with three safety layers, all
-// tunable through Config:
+// Every call goes through one retry loop with three safety layers. Only
+// the retry count is configurable; the layers' other parameters are the
+// package constants below:
 //
 //   - Capped exponential backoff with full jitter. Retryable failures
 //     (transport errors, 429, 500/502/503/504) sleep a uniformly random
@@ -18,8 +19,8 @@
 //     client, not per call.
 //   - An error-rate circuit breaker. A sliding window of recent attempt
 //     outcomes opens the breaker when the error rate crosses
-//     BreakerThreshold; while open, calls fail immediately with
-//     ErrBreakerOpen. After BreakerCooldown one probe request is let
+//     breakerThreshold; while open, calls fail immediately with
+//     ErrBreakerOpen. After breakerCooldown one probe request is let
 //     through (half-open): success closes the breaker, failure re-opens
 //     it. The breaker turns a dead server into cheap local errors.
 //
@@ -71,86 +72,44 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.Status, e.Message)
 }
 
-// Config parameterizes a Client. The zero value of every knob means
-// "use the default" noted on the field; -1 disables the layer where
-// noted.
+// The retry layers' parameters. Full-jitter backoff sleeps uniformly in
+// [0, min(maxBackoff, baseBackoff·2^attempt)]. Each retry spends one of
+// retryBudget tokens and each success refills half a token. The breaker
+// judges only a full window of breakerWindow attempt outcomes, so at
+// least that many attempts must complete before it can open.
+const (
+	baseBackoff      = 50 * time.Millisecond
+	maxBackoff       = 2 * time.Second
+	retryBudget      = 16
+	breakerWindow    = 32
+	breakerThreshold = 0.5
+	breakerCooldown  = time.Second
+)
+
+// Config parameterizes a Client.
 type Config struct {
 	// BaseURL roots every request, e.g. "http://127.0.0.1:8377".
 	// Required.
 	BaseURL string
 
-	// HTTPClient is the transport; nil means a fresh http.Client.
-	HTTPClient *http.Client
-
 	// MaxRetries caps retries after the first attempt (default 3;
 	// -1 disables retries entirely).
 	MaxRetries int
-
-	// BaseBackoff seeds the exponential window (default 50ms) and
-	// MaxBackoff caps it (default 2s). The actual sleep is uniform in
-	// [0, min(MaxBackoff, BaseBackoff·2^attempt)] — full jitter.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-
-	// RetryBudget is the token bucket's capacity; each retry spends one
-	// token, each success refills half a token (default 16; -1 disables
-	// the budget).
-	RetryBudget int
-
-	// BreakerWindow is how many recent attempt outcomes the breaker
-	// considers (default 32; -1 disables the breaker). The breaker only
-	// judges a full window, so at least BreakerWindow attempts must
-	// complete before it can open.
-	BreakerWindow int
-
-	// BreakerThreshold is the error rate in [0,1] that opens the breaker
-	// (default 0.5).
-	BreakerThreshold float64
-
-	// BreakerCooldown is how long an open breaker waits before letting a
-	// half-open probe through (default 1s).
-	BreakerCooldown time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 16
-	}
-	if c.BreakerWindow == 0 {
-		c.BreakerWindow = 32
-	}
-	if c.BreakerThreshold <= 0 || c.BreakerThreshold > 1 {
-		c.BreakerThreshold = 0.5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	return c
 }
 
 // Client is a specchard API client. Safe for concurrent use; the retry
 // budget and breaker are shared across all calls, which is the point.
 type Client struct {
-	cfg  Config
-	base string
+	base       string
+	maxRetries int
 
-	// Test seams: real clocks and sleeps in production, controllable in
-	// tests. Never nil after New.
-	sleep func(time.Duration)
-	now   func() time.Time
-	randf func() float64
+	// Test seams: real clocks, sleeps and backoff windows in production,
+	// controllable in tests. Never zero after New.
+	sleep       func(time.Duration)
+	now         func() time.Time
+	randf       func() float64
+	baseBackoff time.Duration
+	maxBackoff  time.Duration
 
 	breaker breaker
 	budget  budget
@@ -161,16 +120,20 @@ func New(cfg Config) (*Client, error) {
 	if cfg.BaseURL == "" {
 		return nil, errors.New("client: Config.BaseURL is required")
 	}
-	cfg = cfg.withDefaults()
 	c := &Client{
-		cfg:   cfg,
-		base:  strings.TrimRight(cfg.BaseURL, "/"),
-		sleep: time.Sleep,
-		now:   time.Now,
-		randf: rand.Float64,
+		base:        strings.TrimRight(cfg.BaseURL, "/"),
+		maxRetries:  cfg.MaxRetries,
+		sleep:       time.Sleep,
+		now:         time.Now,
+		randf:       rand.Float64,
+		baseBackoff: baseBackoff,
+		maxBackoff:  maxBackoff,
 	}
-	c.breaker.init(cfg.BreakerWindow, cfg.BreakerThreshold, cfg.BreakerCooldown)
-	c.budget.init(cfg.RetryBudget)
+	if c.maxRetries == 0 {
+		c.maxRetries = 3
+	}
+	c.breaker.init(breakerWindow, breakerThreshold, breakerCooldown)
+	c.budget.init(retryBudget)
 	return c, nil
 }
 
@@ -207,17 +170,6 @@ func (c *Client) Score(ctx context.Context, model string, samples [][]float64) (
 	if err != nil {
 		return nil, err
 	}
-	var out ScoreResult
-	if err := c.do(ctx, http.MethodPost, "/v1/score", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ScoreBytes scores with a pre-marshaled request body (the JSON form of
-// scoreRequest: model + samples). Load harnesses use it to keep
-// marshaling cost off their hot loop; everyone else wants Score.
-func (c *Client) ScoreBytes(ctx context.Context, body []byte) (*ScoreResult, error) {
 	var out ScoreResult
 	if err := c.do(ctx, http.MethodPost, "/v1/score", body, &out); err != nil {
 		return nil, err
@@ -271,8 +223,9 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 }
 
 // WaitHealthy polls /healthz until it answers ok, the timeout elapses,
-// or ctx is done. The poll loop bypasses the retry budget (each poll is
-// its own cheap attempt) by spacing attempts itself.
+// or ctx is done, 50ms apart. Each poll is an ordinary call: it retries,
+// spends the retry budget and feeds the breaker like any other, so a
+// long wait on a dead daemon can open the breaker.
 func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
 	deadline := c.now().Add(timeout)
 	var lastErr error
@@ -311,7 +264,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			return nil
 		}
 		lastErr = err
-		if !retryable(err) || c.cfg.MaxRetries < 0 || attempt >= c.cfg.MaxRetries || ctx.Err() != nil {
+		if !retryable(err) || c.maxRetries < 0 || attempt >= c.maxRetries || ctx.Err() != nil {
 			return err
 		}
 		if !c.budget.spend() {
@@ -330,11 +283,11 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 }
 
 // backoff returns a full-jitter wait: uniform in [0, cap] where the cap
-// doubles per attempt up to MaxBackoff.
+// doubles per attempt up to maxBackoff.
 func (c *Client) backoff(attempt int) time.Duration {
-	window := c.cfg.BaseBackoff << uint(attempt)
-	if window <= 0 || window > c.cfg.MaxBackoff {
-		window = c.cfg.MaxBackoff
+	window := c.baseBackoff << uint(attempt)
+	if window <= 0 || window > c.maxBackoff {
+		window = c.maxBackoff
 	}
 	return time.Duration(c.randf() * float64(window))
 }
@@ -357,7 +310,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 			req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
 		}
 	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -383,8 +336,11 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 }
 
 // retryable reports whether the failure is worth another attempt:
-// transport errors and the server-side "try again later" statuses are;
-// client mistakes (4xx) and context expiry are not.
+// transport errors and the "try again later" statuses (429 and
+// 500/502/503/504) are; other client mistakes (4xx) and context expiry
+// are not. The method does not matter: every call is a read, an
+// idempotent PUT/DELETE, or a POST /v1/score with no side effect, so a
+// repeat costs only time.
 func retryable(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false

@@ -59,38 +59,43 @@ func TestScoreSuccess(t *testing.T) {
 }
 
 // Transient server failures are retried with full-jitter exponential
-// backoff; the call succeeds once the server recovers.
+// backoff; the call succeeds once the server recovers. That includes a
+// 500 on POST /v1/score: scoring has no side effect, so a repeat costs
+// only time.
 func TestRetriesTransientFailures(t *testing.T) {
-	var calls atomic.Int32
-	c, sleeps := newTestClient(t, Config{BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second},
-		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	for _, status := range []int{http.StatusServiceUnavailable, http.StatusInternalServerError} {
+		var calls atomic.Int32
+		c, sleeps := newTestClient(t, Config{}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if calls.Add(1) <= 2 {
-				w.WriteHeader(http.StatusServiceUnavailable)
-				json.NewEncoder(w).Encode(map[string]string{"error": "draining"})
+				w.WriteHeader(status)
+				json.NewEncoder(w).Encode(map[string]string{"error": "try again"})
 				return
 			}
 			okScore(w)
 		}))
-	if _, err := c.Score(context.Background(), "m", [][]float64{{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 3 {
-		t.Errorf("calls = %d, want 3", calls.Load())
-	}
-	// randf pinned to 1.0: each sleep is the full exponential window.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(*sleeps) != 2 || (*sleeps)[0] != want[0] || (*sleeps)[1] != want[1] {
-		t.Errorf("sleeps = %v, want %v", *sleeps, want)
+		c.baseBackoff, c.maxBackoff = 10*time.Millisecond, time.Second
+		if _, err := c.Score(context.Background(), "m", [][]float64{{1}}); err != nil {
+			t.Fatalf("%d: %v", status, err)
+		}
+		if calls.Load() != 3 {
+			t.Errorf("%d: calls = %d, want 3", status, calls.Load())
+		}
+		// randf pinned to 1.0: each sleep is the full exponential window.
+		want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
+		if len(*sleeps) != 2 || (*sleeps)[0] != want[0] || (*sleeps)[1] != want[1] {
+			t.Errorf("%d: sleeps = %v, want %v", status, *sleeps, want)
+		}
 	}
 }
 
 // The backoff window is uniform in [0, cap]: the jitter fraction scales
-// the window and the window is capped by MaxBackoff.
+// the window and the window is capped by maxBackoff.
 func TestBackoffFullJitterAndCap(t *testing.T) {
-	c, err := New(Config{BaseURL: "http://x", BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second})
+	c, err := New(Config{BaseURL: "http://x"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.baseBackoff, c.maxBackoff = 100*time.Millisecond, time.Second
 	c.randf = func() float64 { return 0.5 }
 	for _, tc := range []struct {
 		attempt int
@@ -109,24 +114,27 @@ func TestBackoffFullJitterAndCap(t *testing.T) {
 }
 
 // Client mistakes (4xx) are not retried: the server's answer will not
-// change, so a second attempt only adds load.
+// change, so a second attempt only adds load. That includes 413 for a
+// body over the server's cap.
 func TestNoRetryOnClientError(t *testing.T) {
-	var calls atomic.Int32
-	c, _ := newTestClient(t, Config{}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "model \"m\" not loaded"})
-	}))
-	_, err := c.Score(context.Background(), "m", [][]float64{{1}})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
-		t.Fatalf("err = %v, want 404 APIError", err)
-	}
-	if apiErr.Message != "model \"m\" not loaded" {
-		t.Errorf("message %q", apiErr.Message)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("calls = %d, want 1 (no retry on 4xx)", calls.Load())
+	for _, status := range []int{http.StatusNotFound, http.StatusRequestEntityTooLarge} {
+		var calls atomic.Int32
+		c, _ := newTestClient(t, Config{}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(map[string]string{"error": "model \"m\" refused"})
+		}))
+		_, err := c.Score(context.Background(), "m", [][]float64{{1}})
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != status {
+			t.Fatalf("err = %v, want %d APIError", err, status)
+		}
+		if apiErr.Message != "model \"m\" refused" {
+			t.Errorf("%d: message %q", status, apiErr.Message)
+		}
+		if calls.Load() != 1 {
+			t.Errorf("%d: calls = %d, want 1 (no retry on 4xx)", status, calls.Load())
+		}
 	}
 }
 
@@ -134,7 +142,7 @@ func TestNoRetryOnClientError(t *testing.T) {
 // recovery horizon round-trips from the 429 into the retry sleep.
 func TestRetryAfterHonored(t *testing.T) {
 	var calls atomic.Int32
-	c, sleeps := newTestClient(t, Config{BaseBackoff: time.Millisecond},
+	c, sleeps := newTestClient(t, Config{},
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if calls.Add(1) == 1 {
 				w.Header().Set("Retry-After", "2")
@@ -176,11 +184,14 @@ func TestParseRetryAfterForms(t *testing.T) {
 // of hammering a struggling server.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	var calls atomic.Int32
-	c, _ := newTestClient(t, Config{MaxRetries: 10, RetryBudget: 3, BreakerWindow: -1},
+	c, _ := newTestClient(t, Config{MaxRetries: 10},
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			calls.Add(1)
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}))
+	// Five failed attempts in all stay below the breaker's 32-outcome
+	// window, so only the budget can stop the retries.
+	c.budget.init(3)
 	_, err := c.Score(context.Background(), "m", [][]float64{{1}})
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
@@ -206,13 +217,7 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	var calls atomic.Int32
-	c, _ := newTestClient(t, Config{
-		MaxRetries:       -1,
-		RetryBudget:      -1,
-		BreakerWindow:    4,
-		BreakerThreshold: 0.5,
-		BreakerCooldown:  time.Second,
-	}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	c, _ := newTestClient(t, Config{MaxRetries: -1}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		if failing.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -220,6 +225,7 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 		}
 		okScore(w)
 	}))
+	c.breaker.init(4, 0.5, time.Second)
 	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	c.now = func() time.Time { return clock }
 
@@ -291,10 +297,11 @@ func TestDeadlineHeaderStamped(t *testing.T) {
 // The retry loop never sleeps past the context deadline: when the next
 // backoff would overrun it, the last real failure surfaces immediately.
 func TestRetrySleepBoundedByContextDeadline(t *testing.T) {
-	c, sleeps := newTestClient(t, Config{BaseBackoff: time.Minute, MaxBackoff: time.Hour},
+	c, sleeps := newTestClient(t, Config{},
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}))
+	c.baseBackoff, c.maxBackoff = time.Minute, time.Hour
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	_, err := c.Score(ctx, "m", [][]float64{{1}})

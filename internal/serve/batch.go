@@ -44,11 +44,11 @@ type scoreJob struct {
 // Admission is sample-count based: pending tracks queued samples across
 // jobs and submit rejects instantly once it would exceed MaxPending, so
 // a hot model sheds load at the door instead of stacking goroutines.
-// The dispatcher coalesces queued jobs into batches of up to MaxBatch
-// samples, lingering at most BatchWait once it holds a partial batch,
-// and scores each batch through one compiled batch call against the
-// model resolved at flush time — which is what makes registry hot-swaps
-// take effect between batches with zero failed requests.
+// The dispatcher coalesces whatever is queued when it wakes into a batch
+// of up to MaxBatch samples — it never waits for more — and scores each
+// batch through one compiled batch call against the model resolved at
+// flush time, which is what makes registry hot-swaps take effect between
+// batches with zero failed requests.
 type batcher struct {
 	s     *Server
 	model string
@@ -68,6 +68,8 @@ type batcher struct {
 	closeOne sync.Once
 }
 
+// newBatcher builds a model's batcher; the caller starts its dispatcher
+// with go b.run().
 func newBatcher(s *Server, model string) *batcher {
 	b := &batcher{
 		s:     s,
@@ -78,7 +80,6 @@ func newBatcher(s *Server, model string) *batcher {
 		quit: make(chan struct{}),
 	}
 	b.done.Add(1)
-	go b.run()
 	return b
 }
 
@@ -138,9 +139,9 @@ func (b *batcher) close() {
 	b.done.Wait()
 }
 
-// run is the dispatcher loop: pull one job, gather more into the batch
-// (up to MaxBatch samples, lingering BatchWait), flush, repeat. On quit
-// it drains everything already queued — shutdown scores admitted work
+// run is the dispatcher loop: pull one job, gather what is already
+// queued behind it (up to MaxBatch samples), flush, repeat. On quit it
+// drains everything already queued — shutdown scores admitted work
 // rather than erroring it.
 func (b *batcher) run() {
 	defer b.done.Done()
@@ -161,42 +162,20 @@ func (b *batcher) run() {
 	}
 }
 
-// gather collects queued jobs behind first until the batch holds
-// MaxBatch samples or the linger window closes. The window is BatchWait
-// bounded by the earliest deadline in the batch — a batch holding a
-// nearly-expired request flushes early instead of lingering it to
-// death. A single over-wide job (a request carrying more than MaxBatch
-// samples) still scores as one batch.
+// gather takes the jobs already queued behind first, without waiting
+// for more, until the batch holds MaxBatch samples or the queue is
+// empty. Requests that arrive while a batch scores queue up and form the
+// next batch, so coalescing grows with load and an idle model answers a
+// lone request at once. The job that crosses MaxBatch still joins, and a
+// single over-wide request scores as one batch.
 func (b *batcher) gather(first *scoreJob) []*scoreJob {
 	batch := []*scoreJob{first}
-	total := len(first.rows)
-	if total >= b.s.cfg.MaxBatch {
-		return batch
-	}
-	wake := time.Now().Add(b.s.cfg.BatchWait)
-	if !first.deadline.IsZero() && first.deadline.Before(wake) {
-		wake = first.deadline
-	}
-	linger := time.NewTimer(time.Until(wake))
-	defer linger.Stop()
-	for total < b.s.cfg.MaxBatch {
+	for total := len(first.rows); total < b.s.cfg.MaxBatch; {
 		select {
 		case j := <-b.jobs:
 			batch = append(batch, j)
 			total += len(j.rows)
-			if !j.deadline.IsZero() && j.deadline.Before(wake) {
-				wake = j.deadline
-				if !linger.Stop() {
-					select {
-					case <-linger.C:
-					default:
-					}
-				}
-				linger.Reset(time.Until(wake))
-			}
-		case <-linger.C:
-			return batch
-		case <-b.quit:
+		default:
 			return batch
 		}
 	}

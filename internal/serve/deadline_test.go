@@ -82,16 +82,16 @@ func TestFlushShedsExpiredWork(t *testing.T) {
 	}
 }
 
-// A request whose X-Deadline-Ms budget cannot be met answers 408: the
-// one-sample batch cannot fill MaxBatch, so it waits for the linger
-// window, which the deadline bounds — by the time it flushes the work
-// is expired.
+// A request whose X-Deadline-Ms budget runs out while it is queued
+// answers 408. The dispatcher is parked, so the work cannot flush first.
 func TestDeadlineHeaderMissedBudgetIs408(t *testing.T) {
-	f := newFixture(t, Config{BatchWait: 250 * time.Millisecond})
+	f := newFixture(t, Config{})
+	_, release := parkBatcher(t, f.srv, "cpu2006")
 	status, _, _ := f.scoreWithHeader(t, "cpu2006", rowsOf(f.data, 0, 1), map[string]string{client.DeadlineHeader: "1"})
 	if status != http.StatusRequestTimeout {
 		t.Errorf("1ms deadline got status %d, want 408", status)
 	}
+	release()
 	// A request with room to spare scores fine through the same path.
 	status, sr, _ := f.scoreWithHeader(t, "cpu2006", rowsOf(f.data, 0, 1), map[string]string{client.DeadlineHeader: "30000"})
 	if status != http.StatusOK || len(sr.Predictions) != 1 {
@@ -109,41 +109,11 @@ func TestDeadlineHeaderMalformedIs400(t *testing.T) {
 	}
 }
 
-// The batcher's linger window is bounded by the earliest deadline in
-// the batch, not just BatchWait: a batch holding a nearly-expired
-// request flushes when that deadline hits, so work queued behind it is
-// answered in milliseconds even when BatchWait is essentially forever.
-func TestEarliestDeadlineBoundsLinger(t *testing.T) {
-	f := newFixture(t, Config{BatchWait: 10 * time.Second, MaxBatch: 64})
-
-	aDone := make(chan int, 1)
-	go func() {
-		status, _, _ := f.scoreWithHeader(t, "cpu2006", rowsOf(f.data, 0, 1), map[string]string{client.DeadlineHeader: "500"})
-		aDone <- status
-	}()
-	time.Sleep(50 * time.Millisecond) // let A start its linger
-	begin := time.Now()
-	status, sr, _ := f.scoreWithHeader(t, "cpu2006", rowsOf(f.data, 1, 2), nil)
-	elapsed := time.Since(begin)
-	if status != http.StatusOK || len(sr.Predictions) != 1 {
-		t.Fatalf("deadline-free request got status %d, want 200", status)
-	}
-	if want := f.tree.Predict(f.data.Samples[1].X); sr.Predictions[0] != want {
-		t.Errorf("prediction %v, want %v", sr.Predictions[0], want)
-	}
-	// Without the deadline bound this waits the full 10s BatchWait.
-	if elapsed > 5*time.Second {
-		t.Errorf("request behind a 500ms-deadline job took %v; linger ignores batch deadlines", elapsed)
-	}
-	if got := <-aDone; got != http.StatusRequestTimeout {
-		t.Errorf("the 500ms-deadline request got status %d, want 408", got)
-	}
-}
-
 // DefaultTimeout applies the server-side budget when the client sends
-// no header: a request that cannot flush before it answers 408.
+// no header: a request still queued when it runs out answers 408.
 func TestDefaultTimeoutAppliesWithoutHeader(t *testing.T) {
-	f := newFixture(t, Config{BatchWait: 10 * time.Second, DefaultTimeout: 100 * time.Millisecond})
+	f := newFixture(t, Config{DefaultTimeout: 100 * time.Millisecond})
+	parkBatcher(t, f.srv, "cpu2006")
 	begin := time.Now()
 	status, _, _ := f.score(t, "cpu2006", rowsOf(f.data, 0, 1))
 	if status != http.StatusRequestTimeout {

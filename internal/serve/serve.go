@@ -8,17 +8,17 @@
 // block to the model's batcher. The batcher owns a bounded queue:
 // admission is by queued sample count (an overloaded model rejects
 // instantly with 429 instead of building an unbounded backlog), and a
-// dispatcher goroutine coalesces queued requests into one batch — up to
-// MaxBatch samples, lingering at most BatchWait for stragglers — scored
+// dispatcher goroutine coalesces the requests queued when it wakes into
+// one batch of up to MaxBatch samples, without waiting for more, scored
 // through one compiled batch call: PredictDatasetCheckedContext, or
 // PredictColumnsCheckedContext once a batch holds columnarMin samples.
 // Batching amortizes the per-call overhead across requests exactly like
-// the offline pipeline amortizes it across rows.
+// the offline pipeline amortizes it across rows; requests that arrive
+// while a batch scores form the next one, so batches widen with load.
 //
 // Requests carry deadlines: an explicit one via the client package's
 // X-Deadline-Ms header, or the server-imposed Config.DefaultTimeout.
-// The deadline travels with the queued job — the batcher flushes early
-// rather than linger a nearly-expired batch, and sheds work that
+// The deadline travels with the queued job: the batcher sheds work that
 // expired while queued before spending scoring time on it (408). A
 // client that disconnects instead gets its result dropped: there is no
 // one left to answer, so the handler logs and moves on.
@@ -66,11 +66,6 @@ type Config struct {
 	// (default 64).
 	MaxBatch int
 
-	// BatchWait is how long a dispatcher lingers for more requests once
-	// it holds a partial batch (default 2ms). Zero means the default;
-	// use Server-side batching off by setting MaxBatch to 1.
-	BatchWait time.Duration
-
 	// MaxPending caps queued samples per model — the admission bound.
 	// Requests beyond it are rejected with 429 (default 4096).
 	MaxPending int
@@ -80,9 +75,6 @@ type Config struct {
 	// batches of MaxBatch samples are below the pool's parallel
 	// threshold anyway).
 	Workers int
-
-	// MaxBodyBytes caps request bodies (default 8 MiB).
-	MaxBodyBytes int64
 
 	// DefaultTimeout bounds scoring requests that carry no explicit
 	// deadline header. Zero means no server-imposed deadline.
@@ -97,23 +89,21 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
-	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4096
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
 	return c
 }
+
+// maxBodyBytes caps request bodies: score requests and model artifacts.
+// A larger body is refused with 413.
+const maxBodyBytes = 8 << 20
 
 // Server is the scoring service: handlers plus the per-model batchers.
 // Create with New, expose with Handler, and Close after the HTTP server
@@ -197,6 +187,7 @@ func (s *Server) batcherFor(model string) (*batcher, error) {
 	if b == nil {
 		b = newBatcher(s, model)
 		s.batchers[model] = b
+		go b.run()
 	}
 	return b, nil
 }
@@ -227,15 +218,15 @@ type errorResponse struct {
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.count("specchard_requests_total")
 	var req scoreRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		s.fail(w, bodyStatus(err, http.StatusBadRequest), fmt.Sprintf("decoding request: %v", err))
 		return
 	}
 	// The same strictness ReadJSON applies to artifacts: a request with
 	// trailing bytes after the document is malformed, not sloppy.
 	if tok, err := dec.Token(); err != io.EOF {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("trailing data after request body (token %v)", tok))
+		s.fail(w, bodyStatus(err, http.StatusBadRequest), fmt.Sprintf("trailing data after request body (token %v)", tok))
 		return
 	}
 	if req.Model == "" {
@@ -277,6 +268,17 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	s.rec.Counter("specchard_samples_scored_total").Add(int64(len(req.Samples)))
 	s.writeJSON(w, http.StatusOK, scoreResponse{Model: req.Model, Version: version, Predictions: out})
+}
+
+// bodyStatus maps a request-body read error to its status: 413 when the
+// body overran maxBodyBytes — a client mistake no retry can fix — and
+// otherwise the handler's own status for err.
+func bodyStatus(err error, otherwise int) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return otherwise
 }
 
 // requestContext derives the scoring context: an explicit client
@@ -355,13 +357,13 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	s.count("specchard_requests_total")
 	name := r.PathValue("name")
-	tree, err := mtree.ReadCompiled(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	tree, err := mtree.ReadCompiled(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		if !errors.Is(err, mtree.ErrArtifact) {
 			status = http.StatusInternalServerError
 		}
-		s.fail(w, status, fmt.Sprintf("loading artifact: %v", err))
+		s.fail(w, bodyStatus(err, status), fmt.Sprintf("loading artifact: %v", err))
 		return
 	}
 	m, err := s.reg.Load(name, tree, "upload")

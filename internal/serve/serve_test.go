@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,6 +81,32 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 		srv.Close()
 	})
 	return &fixture{reg: reg, srv: srv, ts: ts, tree: tree, data: d}
+}
+
+// parkBatcher installs model's batcher on srv with its dispatcher held
+// back: submissions queue and count against MaxPending, but nothing
+// flushes until release starts the dispatcher. Tests use it to keep work
+// queued without racing a timer. release is idempotent and also runs at
+// cleanup, so Close never waits on a dispatcher that never started.
+func parkBatcher(t testing.TB, srv *Server, model string) (*batcher, func()) {
+	t.Helper()
+	b := newBatcher(srv, model)
+	srv.mu.Lock()
+	srv.batchers[model] = b
+	srv.mu.Unlock()
+	release := sync.OnceFunc(func() { go b.run() })
+	t.Cleanup(release)
+	return b, release
+}
+
+// waitQueued blocks until b's queue holds n jobs.
+func waitQueued(t testing.TB, b *batcher, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); len(b.jobs) != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d jobs, want %d", len(b.jobs), n)
+		}
+	}
 }
 
 // score posts one request and decodes the response, returning the HTTP
@@ -282,44 +309,115 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// Admission control: with a tiny pending budget and a dispatcher that
-// cannot keep up, excess requests are rejected with 429 immediately —
-// and the budget is released afterwards so the model recovers.
+// Admission control: once MaxPending samples are queued, a request
+// that would exceed the budget is rejected with 429 at once, and the
+// flush releases the budget so the model recovers.
 func TestAdmissionControl(t *testing.T) {
-	// MaxBatch far above MaxPending means the dispatcher lingers the full
-	// BatchWait holding admitted samples, so concurrent 4-sample requests
-	// pile pending past the budget of 8 and get shed, while each flush
-	// releases the budget and lets later requests through.
-	f := newFixture(t, Config{MaxPending: 8, MaxBatch: 1 << 20, BatchWait: 60 * time.Millisecond})
-	var rejected, accepted atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 12; g++ {
-		wg.Add(1)
+	f := newFixture(t, Config{MaxPending: 8})
+	b, release := parkBatcher(t, f.srv, "cpu2006")
+	statuses := make(chan int, 2)
+	for i := 0; i < 2; i++ {
 		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				status, _, _ := f.score(t, "cpu2006", rowsOf(f.data, 0, 4))
-				switch status {
-				case http.StatusOK:
-					accepted.Add(1)
-				case http.StatusTooManyRequests:
-					rejected.Add(1)
-				default:
-					t.Errorf("unexpected status %d", status)
-				}
-			}
+			status, _, _ := f.score(t, "cpu2006", rowsOf(f.data, 0, 4))
+			statuses <- status
 		}()
 	}
-	wg.Wait()
-	if rejected.Load() == 0 {
-		t.Error("no request was shed at 12×4 samples against a budget of 8")
+	waitQueued(t, b, 2) // 8 samples pending: the budget is full
+	if status, _, msg := f.score(t, "cpu2006", rowsOf(f.data, 0, 1)); status != http.StatusTooManyRequests {
+		t.Errorf("request past a full budget got status %d (%s), want 429", status, msg)
 	}
-	if accepted.Load() == 0 {
-		t.Error("every request was shed; admission is not releasing budget")
+	release()
+	for i := 0; i < 2; i++ {
+		if status := <-statuses; status != http.StatusOK {
+			t.Errorf("admitted request got status %d, want 200", status)
+		}
 	}
 	// Recovery: the full budget is back.
 	if status, _, msg := f.score(t, "cpu2006", rowsOf(f.data, 0, 8)); status != http.StatusOK {
-		t.Errorf("after the storm a full-budget request failed: %d (%s)", status, msg)
+		t.Errorf("after the flush a full-budget request failed: %d (%s)", status, msg)
+	}
+}
+
+// flushLog is an obs sink recording the sample count of every scored
+// batch, in flush order.
+type flushLog struct {
+	mu   sync.Mutex
+	rows []int64
+}
+
+func (l *flushLog) Emit(ev obs.Event) {
+	if ev.Span == "serve.batch" {
+		l.mu.Lock()
+		l.rows = append(l.rows, ev.Rows)
+		l.mu.Unlock()
+	}
+}
+
+// Greedy batching: jobs already queued when the dispatcher wakes flush
+// together, MaxBatch samples at a time, and sharing a flush never
+// changes a prediction.
+func TestQueuedJobsCoalesce(t *testing.T) {
+	flushes := &flushLog{}
+	f := newFixture(t, Config{Recorder: obs.New(flushes), MaxBatch: 64})
+	b, release := parkBatcher(t, f.srv, "cpu2006")
+	type result struct {
+		i   int
+		out []float64
+		err error
+	}
+	results := make(chan result, 100)
+	for i := 0; i < 100; i++ {
+		go func() {
+			out, _, err := b.submit(context.Background(), rowsOf(f.data, i, i+1))
+			results <- result{i, out, err}
+		}()
+	}
+	waitQueued(t, b, 100)
+	release()
+	for k := 0; k < 100; k++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatalf("job %d: %v", r.i, r.err)
+		}
+		want := f.tree.Predict(f.data.Samples[r.i].X)
+		if len(r.out) != 1 || math.Float64bits(r.out[0]) != math.Float64bits(want) {
+			t.Errorf("job %d: served %v, Predict %v", r.i, r.out, want)
+		}
+	}
+	flushes.mu.Lock()
+	defer flushes.mu.Unlock()
+	if !slices.Equal(flushes.rows, []int64{64, 36}) {
+		t.Errorf("flushes held %v samples, want [64 36]", flushes.rows)
+	}
+}
+
+// Bodies over maxBodyBytes answer 413 on both routes that read one: the
+// client has to send less, so no retry can help.
+func TestOversizedBodyIs413(t *testing.T) {
+	f := newFixture(t, Config{})
+	score := append([]byte(`{"model":"cpu2006","samples":[`), bytes.Repeat([]byte("[1,2,3,4],"), maxBodyBytes/10+1)...)
+	for _, tc := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodPost, "/v1/score", score},
+		{http.MethodPut, "/v1/models/cpu2006", make([]byte, maxBodyBytes+1)},
+	} {
+		req, err := http.NewRequest(tc.method, f.ts.URL+tc.path, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with %d bytes: status %d, want 413", tc.method, tc.path, len(tc.body), resp.StatusCode)
+		}
+	}
+	if m, _ := f.reg.Get("cpu2006"); m.Version != 1 {
+		t.Errorf("oversized put changed the registry to version %d", m.Version)
 	}
 }
 
@@ -432,31 +530,37 @@ func TestDrainScoresAdmittedWork(t *testing.T) {
 	if _, err := reg.Load("m", tree, "test"); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Registry: reg, BatchWait: 30 * time.Millisecond, MaxBatch: 1 << 20})
+	srv, err := New(Config{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := srv.batcherFor("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Park a job in the queue: with a huge MaxBatch and a long linger the
-	// dispatcher is still gathering when Close lands, so the drain path
-	// must finish the batch.
+	b, release := parkBatcher(t, srv, "m")
 	type result struct {
 		out []float64
 		err error
 	}
 	results := make(chan result, 4)
 	for i := 0; i < 4; i++ {
-		i := i
 		go func() {
 			out, _, err := b.submit(context.Background(), rowsOf(d, i*4, i*4+4))
 			results <- result{out, err}
 		}()
 	}
-	time.Sleep(10 * time.Millisecond) // let the submissions queue
-	srv.Close()
+	// Close lands while all four jobs are still queued: the dispatcher
+	// starts only once admission is shut, so the drain must score them.
+	waitQueued(t, b, 4)
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	for draining := false; !draining; time.Sleep(time.Millisecond) {
+		b.drainMu.RLock()
+		draining = b.draining
+		b.drainMu.RUnlock()
+	}
+	release()
+	<-closed
 	for i := 0; i < 4; i++ {
 		r := <-results
 		if r.err != nil {

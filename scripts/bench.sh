@@ -3,6 +3,9 @@
 # (the uarch simulator, the trace generator, PMU multiplexing, the
 # linreg fit, the dataset RNG, and M5' induction) and writes a JSON
 # evidence file via cmd/benchjson: the median of 6 runs per benchmark.
+# The runs are six passes over the whole set, one run of each benchmark
+# per pass, so drift of a shared host spreads across all benchmarks
+# instead of landing on the six back-to-back repeats of one.
 #
 # Baselines embedded for speedup bookkeeping are the BENCH_PR15.json
 # medians (2-vCPU Xeon @ 2.10GHz). BenchmarkBuild* has no baseline
@@ -30,9 +33,11 @@ core_tlb=82.84
 
 gate() { awk -v ns="$1" -v pct="$noise_pct" 'BEGIN { printf "%.2f", ns * pct / 100 }'; }
 
-go test -run '^$' -count 6 -benchtime "$benchtime" -benchmem \
-    -bench '^Benchmark(CoreRun|GeneratorNext|CacheAccess|TLBAccess|MultiplexerSample|Fit|RNGBelow|RNGFloat64Less|Build)' \
-    ./internal/uarch ./internal/trace ./internal/pmu ./internal/linreg ./internal/dataset . |
+for pass in 1 2 3 4 5 6; do
+    go test -run '^$' -count 1 -benchtime "$benchtime" -benchmem \
+        -bench '^Benchmark(CoreRun|GeneratorNext|CacheAccess|TLBAccess|MultiplexerSample|Fit|RNGBelow|RNGFloat64Less|Build)' \
+        ./internal/uarch ./internal/trace ./internal/pmu ./internal/linreg ./internal/dataset .
+done |
     tee /dev/stderr |
     go run ./cmd/benchjson \
         -label "simulator-layer microbenchmarks, medians of 6 at benchtime $benchtime" \
