@@ -331,11 +331,7 @@ func BenchmarkDataGeneration(b *testing.B) {
 // plus one model evaluation per root-path ancestor.
 func BenchmarkPredict(b *testing.B) {
 	s := benchStudy(b)
-	x := s.CPU.Samples[0].X
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.CPUTree.Predict(x)
-	}
+	benchPredictEachSample(b, s.CPU, s.CPUTree.Predict)
 }
 
 // BenchmarkPredictCompiled measures the same prediction through the
@@ -343,11 +339,22 @@ func BenchmarkPredict(b *testing.B) {
 // dot product.
 func BenchmarkPredictCompiled(b *testing.B) {
 	s := benchStudy(b)
-	x := s.CPU.Samples[0].X
+	benchPredictEachSample(b, s.CPU, s.CPUTreeCompiled.Predict)
+}
+
+// benchPredictEachSample times one predict call per sample of d, one
+// pass over the dataset per op, and reports ns/sample. Cycling through
+// every sample keeps the branch predictor from learning a single
+// root-to-leaf path, which scoring one sample over and over would let it
+// do. The call goes through a func value, so it cannot be inlined away.
+func benchPredictEachSample(b *testing.B, d *dataset.Dataset, predict func(x []float64) float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.CPUTreeCompiled.Predict(x)
+		for _, smp := range d.Samples {
+			predict(smp.X)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d.Len()), "ns/sample")
 }
 
 // benchBuildWorkers times full tree induction (grow + fit + prune +
@@ -417,11 +424,10 @@ func BenchmarkPredictDatasetCompiledParallel(b *testing.B) { benchPredictDataset
 
 // benchPredictColumnarWorkers times the column-major scorer over the
 // same dataset in its zero-parse columnar form — the layout `specchar
-// convert` writes and OpenColumnar maps. Since PR 10 this is the fused
-// tile-transpose route: L1-resident sub-chunks are gathered into pooled
-// row scratch and scored by the same fused kernel as the row path,
-// bit-identically (the retired in-place column-walk kernel's numbers
-// are in BENCH_PR10.json).
+// convert` writes and OpenColumnar maps. Each sample is gathered into a
+// row buffer and scored by Predict, bit-identically to the row path (the
+// retired column-walk and tile-transpose kernels' numbers are in
+// BENCH_PR10.json).
 func benchPredictColumnarWorkers(b *testing.B, workers int) {
 	s := benchStudy(b)
 	ctree, err := s.CPUTree.Compile()

@@ -91,10 +91,11 @@ func runConvert(ctx context.Context, args []string) error {
 }
 
 // runScore loads a compiled-tree artifact and scores a dataset file
-// through it: the column-major kernels for .spcol inputs (zero-copy
-// when mapped), the row-major blocked kernels otherwise. Predictions
-// print one per line in full precision; -check compares them against a
-// reference prediction file instead and fails on divergence.
+// through it: column-major input for .spcol files (zero-copy when
+// mapped), row-major input otherwise; both score bit-identically.
+// Predictions print one per line in full precision; -check compares
+// them against a reference prediction file instead and fails on
+// divergence.
 func runScore(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("score", flag.ExitOnError)
 	modelFlag := fs.String("model", "", "compiled-tree artifact from 'specchar compile' (required)")

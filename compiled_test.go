@@ -1,8 +1,16 @@
 package specchar
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"specchar/internal/characterize"
@@ -154,4 +162,108 @@ func TestStudyCompiledFields(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPredictionBitsGoldenOnSuites pins the exact bits compiled batch
+// scoring returns for the committed golden trees on their quick suites:
+// the SHA-256 of the row predictions, the column predictions and the
+// leaf assignments of each suite must match
+// testdata/golden_predict_bits.txt at every worker count. Served scores,
+// transfer verdicts and the results atlas all rest on these bits. Run
+// with -update only for an intentional change to the scoring arithmetic.
+func TestPredictionBitsGoldenOnSuites(t *testing.T) {
+	gen := suites.DefaultGenOptions()
+	gen.SamplesPerBenchmark = 60
+	gen.OpsPerWindow = 512
+	gen.WarmupOps = 8000
+	var got strings.Builder
+	for _, sc := range []struct {
+		name    string
+		suite   *suites.Suite
+		fixture string
+	}{
+		{"cpu2006", suites.CPU2006(), "golden_cpu2006_tree.json"},
+		{"omp2001", suites.OMP2001(), "golden_omp2001_tree.json"},
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", sc.fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := mtree.ReadJSON(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctree, err := tree.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := suites.Generate(sc.suite, gen)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		cols := d.Columns()
+		ctx := context.Background()
+		var first string
+		for _, workers := range []int{1, 4} {
+			cw := ctree.WithWorkers(workers)
+			rows, err := cw.PredictDatasetCheckedContext(ctx, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			colPreds, err := cw.PredictColumnsCheckedContext(ctx, cols, d.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaves, err := cw.ClassifyLeavesCheckedContext(ctx, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leafBits := make([]uint64, len(leaves))
+			for i, l := range leaves {
+				leafBits[i] = uint64(l)
+			}
+			digests := fmt.Sprintf("%[1]s rows %[2]s\n%[1]s cols %[3]s\n%[1]s leaves %[4]s\n", sc.name,
+				bitsDigest(floatBits(rows)), bitsDigest(floatBits(colPreds)), bitsDigest(leafBits))
+			if first != "" && digests != first {
+				t.Fatalf("workers=%d digests differ from workers=1:\n%s\nvs\n%s", workers, digests, first)
+			}
+			first = digests
+		}
+		got.WriteString(first)
+	}
+
+	path := filepath.Join("testdata", "golden_predict_bits.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("prediction bits changed:\n got %s\nwant %s", strings.TrimSpace(got.String()), strings.TrimSpace(string(want)))
+	}
+}
+
+func floatBits(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// bitsDigest is the SHA-256 of the words in little-endian order.
+func bitsDigest(words []uint64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, w := range words {
+		binary.LittleEndian.PutUint64(b[:], w)
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

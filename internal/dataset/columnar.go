@@ -8,7 +8,7 @@ package dataset
 // bytes. WriteColumnar serializes the dataset as a little-endian
 // column-major binary whose float payload is the in-memory layout of
 // Columns() — so a reader on a little-endian machine can hand slices of
-// the file straight to the columnar scoring kernels with zero decoding.
+// the file straight to columnar scoring with zero decoding.
 //
 //	offset  field
 //	0       magic "SPCCCOL1" (8 bytes)

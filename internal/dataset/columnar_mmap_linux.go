@@ -15,7 +15,7 @@ import (
 // the page cache — no decode, no copy. Close releases the mapping.
 //
 // The mapping is advised MADV_SEQUENTIAL: both the validation pass and
-// the scoring kernels walk the column slabs front to back, so the
+// columnar scoring walk the column slabs front to back, so the
 // kernel may read ahead aggressively and drop pages behind the cursor.
 // The advice is best-effort — a kernel that rejects it changes nothing
 // about correctness.

@@ -27,13 +27,12 @@ package mtree
 // (two writes landing in one file), not slack to ignore.
 //
 // Version history. Version 1 stored the interior arrays in preorder;
-// version 2 (current) stores them depth-layered breadth-first for the
-// blocked traversal kernels. The byte layout is identical — only the
-// interior permutation differs — and both orders satisfy the same
-// child-index-greater-than-parent invariant, so ReadCompiled accepts
-// either version unchanged: a v1 preorder artifact routes correctly
-// (every traversal follows explicit child references), it merely lacks
-// v2's level-contiguous cache behavior until recompiled.
+// version 2 (current) stores them depth-layered breadth-first. The byte
+// layout is identical — only the interior permutation differs — and both
+// orders satisfy the same child-index-greater-than-parent invariant, so
+// ReadCompiled accepts either version unchanged: every traversal follows
+// explicit child references, so a v1 preorder artifact scores exactly
+// like its v2 recompilation.
 
 import (
 	"encoding/binary"
@@ -57,7 +56,7 @@ const artifactMagic = "SPCCTRE1"
 
 // artifactVersion is the current artifact format version (depth-layered
 // interior order). artifactVersionPreorder artifacts, written before the
-// blocked kernels, share the byte layout and remain loadable.
+// layered order, share the byte layout and remain loadable.
 const (
 	artifactVersion         = 2
 	artifactVersionPreorder = 1
@@ -174,7 +173,6 @@ func ReadCompiled(r io.Reader) (*CompiledTree, error) {
 	if err := c.validateRefs(); err != nil {
 		return nil, err
 	}
-	c.finish()
 	return c, nil
 }
 

@@ -1,12 +1,12 @@
 package mtree
 
-// Tests pinning the blocked multi-sample kernels against the scalar
-// per-sample path on the inputs most likely to expose a routing
-// divergence: samples sitting exactly on a split threshold and one ULP
-// to either side. The compiled comparison x > threshold sends an exact
-// tie left (v ≤ t), and the fused AVX-512 kernel, the blocked lane
-// kernels, and the tile-transpose columnar route must all make the
-// identical call — these tests fail on the first bit that differs.
+// Tests pinning batch scoring (rows, columns, leaf classification)
+// against the per-sample path on the inputs most likely to expose a
+// routing divergence: samples sitting exactly on a split threshold and
+// one ULP to either side. The compiled comparison sends an exact tie
+// left (v ≤ t), and every batch entry point must make the identical
+// call at every worker count — these tests fail on the first bit that
+// differs.
 //
 // The file also pins the depth-layered (BFS) artifact layout: a golden
 // hash over the serialized form, the layering invariant itself, and
@@ -49,7 +49,7 @@ func boundaryTree(t *testing.T, seed uint64) (*Tree, *CompiledTree) {
 // boundaryDataset places samples exactly on every split threshold of c
 // and one ULP to either side, in every attribute, plus tie-heavy rows
 // where both coordinates are thresholds at once. These are the inputs
-// where a blocked kernel that compares even slightly differently from
+// where a batch scorer that compares even slightly differently from
 // the scalar route (float32 rounding, flipped comparison direction,
 // NaN-ordering predicates) diverges first.
 func boundaryDataset(t *testing.T, c *CompiledTree, seed uint64) *dataset.Dataset {
@@ -88,14 +88,16 @@ func boundaryDataset(t *testing.T, c *CompiledTree, seed uint64) *dataset.Datase
 	return d
 }
 
-// TestBlockedBoundaryEquivalence drives the blocked row-major kernels and
-// the fused-columnar route across worker counts over threshold-boundary
-// data, and demands bit-identical predictions and leaf assignments
-// against the scalar per-sample path.
+// TestBlockedBoundaryEquivalence drives row and column batch scoring
+// across worker counts over threshold-boundary data, and demands
+// bit-identical predictions and leaf assignments against the scalar
+// per-sample path. The compiled walk's own tie handling is held to the
+// interpreted pointer tree's, an independent implementation, so a
+// flipped comparison cannot pass by agreeing with itself.
 func TestBlockedBoundaryEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{31, 47} {
-		_, c := boundaryTree(t, seed)
+		tree, c := boundaryTree(t, seed)
 		d := boundaryDataset(t, c, seed+1)
 		cols := d.Columns()
 
@@ -105,6 +107,9 @@ func TestBlockedBoundaryEquivalence(t *testing.T) {
 		for i, s := range d.Samples {
 			wantPred[i] = c.Predict(s.X)
 			wantLeaf[i] = c.ClassifyLeaf(s.X)
+			if id := tree.Classify(s.X).LeafID; wantLeaf[i] != id {
+				t.Fatalf("seed=%d sample %d: compiled leaf %d, interpreted %d", seed, i, wantLeaf[i], id)
+			}
 		}
 
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -115,12 +120,10 @@ func TestBlockedBoundaryEquivalence(t *testing.T) {
 			colPreds := must(cw.PredictColumnsCheckedContext(ctx, cols, d.Len()))
 			for i := range wantPred {
 				if math.Float64bits(preds[i]) != math.Float64bits(wantPred[i]) {
-					t.Fatalf("%s: row sample %d: blocked %v, scalar %v", name, i, preds[i], wantPred[i])
+					t.Fatalf("%s: row sample %d: batch %v, scalar %v", name, i, preds[i], wantPred[i])
 				}
-				// The columnar route transposes into row scratch and runs
-				// the row kernels: bitwise.
 				if math.Float64bits(colPreds[i]) != math.Float64bits(wantPred[i]) {
-					t.Fatalf("%s: col sample %d: fused-columnar %v, scalar %v", name, i, colPreds[i], wantPred[i])
+					t.Fatalf("%s: col sample %d: columnar %v, scalar %v", name, i, colPreds[i], wantPred[i])
 				}
 				if leaves[i] != wantLeaf[i] {
 					t.Fatalf("%s: sample %d leaf: batch %d, scalar %d", name, i, leaves[i], wantLeaf[i])
@@ -130,12 +133,12 @@ func TestBlockedBoundaryEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzBlockedLeafIndex fuzzes the blocked-vs-scalar routing
+// FuzzBlockedLeafIndex fuzzes the batch-vs-scalar routing
 // equivalence: two seeds drive a sample generator that snaps
 // coordinates onto split thresholds and their ±1 ULP neighbours, and a
 // third raw float64 is injected verbatim when finite. Any divergence
-// in leaf index or prediction bits between the batch kernels and the
-// per-sample walk fails.
+// in leaf index or prediction bits between the batch entry points and
+// the per-sample walk fails.
 func FuzzBlockedLeafIndex(f *testing.F) {
 	opts := DefaultOptions()
 	opts.MinLeaf = 10
@@ -192,14 +195,84 @@ func FuzzBlockedLeafIndex(f *testing.F) {
 				}
 				want := c.Predict(s.X)
 				if math.Float64bits(preds[i]) != math.Float64bits(want) {
-					t.Fatalf("workers=%d sample %d: blocked %v, scalar %v", workers, i, preds[i], want)
+					t.Fatalf("workers=%d sample %d: batch %v, scalar %v", workers, i, preds[i], want)
 				}
 				if math.Float64bits(colPreds[i]) != math.Float64bits(want) {
-					t.Fatalf("workers=%d sample %d: fused-columnar %v, scalar %v", workers, i, colPreds[i], want)
+					t.Fatalf("workers=%d sample %d: columnar %v, scalar %v", workers, i, colPreds[i], want)
 				}
 			}
 		}
 	})
+}
+
+// TestFusedColumnarTinyDatasets pins the degenerate shapes batch
+// chunking must not mishandle: a single sample, a single attribute, and
+// short ragged batches — each bit-identical to Predict across worker
+// counts, for column input and for row classification.
+func TestFusedColumnarTinyDatasets(t *testing.T) {
+	// Single-attribute dataset, real induced tree.
+	d1 := dataset.New(&dataset.Schema{Response: "y", Attributes: []string{"a"}})
+	r := dataset.NewRNG(7)
+	for i := 0; i < 120; i++ {
+		x := r.Float64()
+		y := 2*x + 0.25
+		if x > 0.5 {
+			y = -x
+		}
+		if err := d1.Append(dataset.Sample{X: []float64{x}, Y: y, Label: "b"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := DefaultOptions()
+	opts.MinLeaf = 10
+	tree, err := Build(d1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tree.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, n := range []int{1, 2, 16, 17, d1.Len()} {
+		sub := &dataset.Dataset{Schema: d1.Schema, Samples: d1.Samples[:n]}
+		cols := sub.Columns()
+		for _, workers := range []int{1, 2, 4, 8} {
+			cw := c.WithWorkers(workers)
+			preds := must(cw.PredictColumnsCheckedContext(context.Background(), cols, n))
+			leaves := must(cw.ClassifyLeavesCheckedContext(context.Background(), sub))
+			for i := 0; i < n; i++ {
+				want := c.Predict(sub.Samples[i].X)
+				if math.Float64bits(preds[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d workers=%d sample %d: %v, scalar %v", n, workers, i, preds[i], want)
+				}
+				if wl := c.ClassifyLeaf(sub.Samples[i].X); leaves[i] != wl {
+					t.Fatalf("n=%d workers=%d sample %d: leaf %d, scalar %d", n, workers, i, leaves[i], wl)
+				}
+			}
+		}
+	}
+}
+
+// TestFusedColumnarBoundaryWorkers is the column-input slice of the
+// boundary battery: exact-threshold and ±1 ULP samples, workers 1/2/4/8
+// (run under -race in CI), columnar batch vs per-sample Predict, bitwise.
+func TestFusedColumnarBoundaryWorkers(t *testing.T) {
+	for _, seed := range []uint64{101, 211} {
+		_, c := boundaryTree(t, seed)
+		d := boundaryDataset(t, c, seed+3)
+		cols := d.Columns()
+		for _, workers := range []int{1, 2, 4, 8} {
+			cw := c.WithWorkers(workers)
+			preds := must(cw.PredictColumnsCheckedContext(context.Background(), cols, d.Len()))
+			for i, s := range d.Samples {
+				if want := c.Predict(s.X); math.Float64bits(preds[i]) != math.Float64bits(want) {
+					t.Fatalf("seed=%d workers=%d sample %d: %v, scalar %v",
+						seed, workers, i, preds[i], want)
+				}
+			}
+		}
+	}
 }
 
 // interiorDepths walks the compiled refs and returns each interior
@@ -274,7 +347,7 @@ func TestArtifactLayeredGolden(t *testing.T) {
 }
 
 // preorderV1Bytes reserializes c as a version-1 artifact: the interior
-// arrays permuted into preorder, exactly how every pre-blocked release
+// arrays permuted into preorder, exactly how every version-1 release
 // wrote them. Leaves keep their order; refs are remapped.
 func preorderV1Bytes(t *testing.T, c *CompiledTree) []byte {
 	t.Helper()
@@ -350,8 +423,7 @@ func preorderV1Bytes(t *testing.T, c *CompiledTree) []byte {
 // TestArtifactPreorderV1Loads is the compatibility gate: a version-1
 // preorder artifact — the layout every release before the layered
 // format deployed — must still load and score bit-identically to its
-// layered equivalent, through the scalar path and the blocked batch
-// kernels alike.
+// layered equivalent, through the scalar path and batch scoring alike.
 func TestArtifactPreorderV1Loads(t *testing.T) {
 	_, c := boundaryTree(t, 31)
 	v1, err := ReadCompiled(bytes.NewReader(preorderV1Bytes(t, c)))

@@ -24,12 +24,11 @@ package mtree
 // heap-scattered node pointers.
 //
 // The node arrays are ordered depth-layered breadth-first: every tree
-// level occupies a contiguous index range, so a block of samples
-// descending in lockstep touches one run of the attr/threshold arrays
-// per level instead of hopping across a preorder scatter. Leaf indices
-// stay in left-to-right order regardless (leaf index l is LeafID l+1);
-// only interior ordering changed. See blocked.go for the multi-sample
-// kernels that exploit the layout.
+// level occupies a contiguous index range, root first. The order is part
+// of the v2 artifact format (artifact.go) and of the golden artifact
+// hash, so it stays although scoring no longer depends on it. Leaf
+// indices stay in left-to-right order regardless (leaf index l is
+// LeafID l+1).
 //
 // The pointer tree remains the induction/serialization representation;
 // a CompiledTree is derived from it once per trained model and predicts
@@ -40,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"specchar/internal/dataset"
 	"specchar/internal/linreg"
@@ -75,42 +73,6 @@ type CompiledTree struct {
 	// index l corresponds to LeafID l+1.
 	intercepts []float64
 	coefs      []float64
-
-	// Derived arrays built by finish(), never serialized.
-	//
-	// kids interleaves the child references as [left0,right0,left1,…] so
-	// the blocked kernels route with one unpredictable-branch-free load:
-	// ref = kids[2*ref+b] where b∈{0,1} is the comparison outcome.
-	kids []int32
-
-	// Leaf boxes for memoized routing. Every leaf's region is an exact
-	// product of half-open intervals (lo_a, hi_a] — lo is the max of the
-	// thresholds on right turns down its path, hi the min on left turns —
-	// so "x routes to leaf l" is equivalent to the branch-free membership
-	// test ∀a: lo_a < x_a ≤ hi_a, with unconstrained attributes at
-	// (-Inf, +Inf]. The fused kernel checks each sample against the
-	// previous sample's leaf first and only routes on a miss; a NaN fails
-	// every comparison, so NaN samples always fall through to the exact
-	// route and keep the scalar path's NaN-goes-right semantics.
-	//
-	// Layout: per leaf, attribute lanes padded to a multiple of 8 (pad
-	// lanes stay (-Inf, +Inf], which masked-to-zero x lanes satisfy), the
-	// lo and hi vectors interleaved per 8-lane stride:
-	// [lo0..7, hi0..7, lo8..15, hi8..15, …]. One extra sentinel box after
-	// the last leaf has lo=+Inf everywhere, which no sample can enter —
-	// the "no current leaf" state at the start of a chunk.
-	boxes    []float64
-	boxelems int // floats per box = 2 * (width rounded up to 8)
-
-	// Packed interior metadata for the register-resident route on a box
-	// miss: attr | left<<16 | right<<32, children as extended refs (an
-	// interior node keeps its index, leaf index l becomes interior+l) so
-	// one unsigned compare against `interior` detects arrival. Only built
-	// when the u16 fields fit (packedOK); the generic kernels cover the
-	// rest.
-	packed   []uint64
-	rootExt  int64
-	packedOK bool
 }
 
 // Compile lowers the tree into its flat evaluation form, folding the
@@ -243,110 +205,11 @@ func (t *Tree) CompileContext(ctx context.Context) (*CompiledTree, error) {
 	_, sp := rec.StartSpan(sctx, lowerPhase)
 	c.rootRef = emit(t.Root, make([]float64, w), 0, 1)
 	sp.End()
-	c.finish()
 	if rec.Enabled() {
 		span.SetAttr("leaves", leaves)
 		span.SetAttr("interior", interior)
 	}
 	return c, nil
-}
-
-// finish builds the derived routing structures the blocked and fused
-// kernels read — the interleaved kids table, the exact leaf boxes, and
-// the packed route metadata. Called once after the node arrays are
-// final, from compilation and artifact load.
-func (c *CompiledTree) finish() {
-	c.kids = make([]int32, 2*len(c.attrs))
-	for i := range c.attrs {
-		c.kids[2*i] = c.left[i]
-		c.kids[2*i+1] = c.right[i]
-	}
-	c.finishBoxes()
-	c.finishPacked()
-}
-
-// finishBoxes derives the per-leaf interval boxes (see the field comment
-// for layout and semantics) by one walk over the flat node arrays,
-// narrowing a running (lo, hi] interval per attribute and snapshotting it
-// at each leaf.
-func (c *CompiledTree) finishBoxes() {
-	w := c.width
-	wpad := (w + 7) &^ 7
-	c.boxelems = 2 * wpad
-	nl := len(c.intercepts)
-	c.boxes = make([]float64, (nl+1)*c.boxelems)
-	ninf, pinf := math.Inf(-1), math.Inf(1)
-	for i := range c.boxes {
-		// Default every lo lane to -Inf and every hi lane to +Inf; pad
-		// lanes keep these and always pass against masked-to-zero x.
-		if i%16 < 8 {
-			c.boxes[i] = ninf
-		} else {
-			c.boxes[i] = pinf
-		}
-	}
-	setBox := func(li int, lo, hi []float64) {
-		base := li * c.boxelems
-		for j := 0; j < w; j++ {
-			c.boxes[base+(j/8)*16+j%8] = lo[j]
-			c.boxes[base+(j/8)*16+8+j%8] = hi[j]
-		}
-	}
-	lo := make([]float64, w)
-	hi := make([]float64, w)
-	for j := 0; j < w; j++ {
-		lo[j], hi[j] = ninf, pinf
-	}
-	var walk func(ref int32)
-	walk = func(ref int32) {
-		if ref < 0 {
-			setBox(int(^ref), lo, hi)
-			return
-		}
-		a, t := c.attrs[ref], c.thresholds[ref]
-		oh := hi[a]
-		if t < oh {
-			hi[a] = t // left subtree: x ≤ min(hi, t)
-		}
-		walk(c.left[ref])
-		hi[a] = oh
-		ol := lo[a]
-		if t > ol {
-			lo[a] = t // right subtree: x > max(lo, t)
-		}
-		walk(c.right[ref])
-		lo[a] = ol
-	}
-	if nl > 0 {
-		walk(c.rootRef)
-	}
-	// Sentinel box: lo = +Inf on real lanes, so nothing ever matches it.
-	sb := nl * c.boxelems
-	for j := 0; j < w; j++ {
-		c.boxes[sb+(j/8)*16+j%8] = pinf
-	}
-}
-
-// finishPacked derives the u16-packed route metadata when tree size and
-// schema width fit the packing; otherwise packedOK stays false and batch
-// scoring keeps to the generic lane-blocked kernels.
-func (c *CompiledTree) finishPacked() {
-	interior, nl := len(c.attrs), len(c.intercepts)
-	c.packedOK = interior+nl <= 1<<16 && c.width <= 1<<16
-	if !c.packedOK {
-		return
-	}
-	ext := func(r int32) uint64 {
-		if r >= 0 {
-			return uint64(r)
-		}
-		return uint64(interior) + uint64(^r)
-	}
-	c.packed = make([]uint64, interior)
-	for i := range c.attrs {
-		c.packed[i] = uint64(c.attrs[i]) | ext(c.left[i])<<16 | ext(c.right[i])<<32
-	}
-	c.rootExt = int64(ext(c.rootRef))
 }
 
 // accumulateModel adds weight·m into the dense accumulator.
@@ -427,8 +290,8 @@ func (c *CompiledTree) ClassifyLeaf(x []float64) int { return c.leafIndex(x) + 1
 
 // Predict returns the compiled prediction: one traversal plus one dot
 // product against the leaf's pre-composed model, evaluated in the fixed
-// eight-lane FMA schedule of fmadot.go (bit-identical to the batch row
-// kernels). Smoothing, when enabled at compile time, is already folded
+// eight-lane FMA schedule of fmadot.go. Every batch entry point scores
+// through it. Smoothing, when enabled at compile time, is already folded
 // in. The sample must be at least as wide as the schema; batch callers
 // use PredictDatasetCheckedContext.
 func (c *CompiledTree) Predict(x []float64) float64 {
@@ -474,16 +337,11 @@ func (c *CompiledTree) checkColumns(cols [][]float64, n int) error {
 
 // PredictDatasetCheckedContext validates the dataset against the compiled
 // schema (ErrSampleWidth on a schema or row width mismatch) and returns
-// compiled predictions for every sample. Batches are scored in
-// laneBlock-sample blocks across the worker pool — each node's (attr,
-// threshold) pair is loaded once per block instead of once per sample;
-// see blocked.go. Workers pull fixed chunks and check the context at
-// every chunk boundary, so a canceled context returns a wrapped
-// ctx.Err() within one chunk of work; a panicking worker is contained
-// and returned as an error. The chunk size is a multiple of the lane
-// block, so block boundaries — and with them the exact floating-point
-// schedule — are identical at every worker count: predictions are
-// bit-identical to per-sample Predict.
+// compiled predictions for every sample, each exactly Predict's, so
+// they are bit-identical at every worker count. Workers pull fixed
+// chunks (blocked.go) and check the context at every chunk boundary, so
+// a canceled context returns a wrapped ctx.Err() within one chunk of
+// work; a panicking worker is contained and returned as an error.
 func (c *CompiledTree) PredictDatasetCheckedContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
 	if err := c.checkDataset(d); err != nil {
 		return nil, err
@@ -494,7 +352,7 @@ func (c *CompiledTree) PredictDatasetCheckedContext(ctx context.Context, d *data
 	span.SetRows(d.Len())
 	defer span.End()
 	out := make([]float64, d.Len())
-	err := forRangesChunkCtx(ctx, d.Len(), workers, blockedChunk, "mtree.predict.chunk", func(lo, hi int) {
+	err := forRangesChunkCtx(ctx, d.Len(), workers, scoreChunk, "mtree.predict.chunk", func(lo, hi int) {
 		c.predictRowsRange(d.Samples, lo, hi, out)
 	})
 	if err != nil {
@@ -507,12 +365,10 @@ func (c *CompiledTree) PredictDatasetCheckedContext(ctx context.Context, d *data
 // cols[j][i] is attribute j of sample i, the layout dataset.Columns and
 // the columnar binary format produce — against the schema (len(cols)
 // must match its width and every column must hold n samples) and returns
-// compiled predictions for the n samples. Scoring gathers laneBlock-
-// sample tiles into pooled row-major scratch and runs the fused row
-// kernels (see transpose.go) on the row path's block grid, so no full
-// row-major matrix is ever materialized and predictions are
-// bit-identical to per-sample Predict at every worker count.
-// Cancellation and panic containment are those of
+// compiled predictions for the n samples. Each sample is gathered into
+// a row buffer and scored by Predict, so no full row-major matrix is
+// materialized and predictions are bit-identical to the row path's.
+// Chunking, cancellation and panic containment are those of
 // PredictDatasetCheckedContext.
 func (c *CompiledTree) PredictColumnsCheckedContext(ctx context.Context, cols [][]float64, n int) ([]float64, error) {
 	if err := c.checkColumns(cols, n); err != nil {
@@ -524,7 +380,7 @@ func (c *CompiledTree) PredictColumnsCheckedContext(ctx context.Context, cols []
 	span.SetRows(n)
 	defer span.End()
 	out := make([]float64, n)
-	err := forRangesChunkCtx(ctx, n, workers, blockedChunk, "mtree.predict.chunk", func(lo, hi int) {
+	err := forRangesChunkCtx(ctx, n, workers, scoreChunk, "mtree.predict.chunk", func(lo, hi int) {
 		c.predictColsRange(cols, lo, hi, out)
 	})
 	if err != nil {
@@ -547,7 +403,7 @@ func (c *CompiledTree) ClassifyLeavesCheckedContext(ctx context.Context, d *data
 	span.SetRows(d.Len())
 	defer span.End()
 	out := make([]int, d.Len())
-	err := forRangesChunkCtx(ctx, d.Len(), workers, blockedChunk, "mtree.predict.chunk", func(lo, hi int) {
+	err := forRangesChunkCtx(ctx, d.Len(), workers, scoreChunk, "mtree.predict.chunk", func(lo, hi int) {
 		c.classifyRowsRange(d.Samples, lo, hi, out)
 	})
 	if err != nil {

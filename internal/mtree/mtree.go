@@ -906,11 +906,8 @@ func forRangesCtx(ctx context.Context, n, workers int, site string, fn func(lo, 
 	return forRangesChunkCtx(ctx, n, workers, predictChunk, site, fn)
 }
 
-// forRangesChunkCtx is forRangesCtx with an explicit chunk size. The
-// blocked scoring kernels use a chunk that is a multiple of their lane
-// block, so absolute block boundaries — and therefore the floating-point
-// evaluation order within each block — are identical at every worker
-// count.
+// forRangesChunkCtx is forRangesCtx with an explicit chunk size;
+// compiled batch scoring uses its own scoreChunk.
 func forRangesChunkCtx(ctx context.Context, n, workers, chunk int, site string, fn func(lo, hi int)) error {
 	if ctx == nil {
 		ctx = context.Background()

@@ -10,7 +10,6 @@ import (
 
 	"specchar/internal/dataset"
 	"specchar/internal/faultinject"
-	"specchar/internal/mtree"
 	"specchar/internal/obs"
 	"specchar/internal/robust"
 )
@@ -234,13 +233,6 @@ func (b *batcher) flush(batch []*scoreJob) {
 
 // score resolves the model now (the hot-swap point), packs every live
 // job's rows into one batch, scores it, and scatters the outputs back.
-// Wide coalesced batches (columnarMin or more samples of uniform width)
-// go through the fused-columnar route: the rows are packed into one
-// contiguous column-major slab, so the kernel streams a single
-// allocation instead of chasing per-request row pointers scattered
-// across the decoder's heap. Fused-columnar scoring is bit-identical to
-// the row path (see internal/mtree/transpose.go), so which route a
-// batch took is unobservable in the predictions.
 func (b *batcher) score(live []*scoreJob) {
 	total := 0
 	for _, j := range live {
@@ -260,19 +252,13 @@ func (b *batcher) score(live []*scoreJob) {
 	defer span.End()
 
 	tree := m.Tree.WithWorkers(b.s.cfg.Workers)
-	preds, err := b.scoreColumnar(ctx, tree, live, total)
-	if preds == nil && err == nil {
-		// Batch below the columnar threshold, or rows of mixed width (a
-		// mid-queue hot-swap to a different schema): the row path scores
-		// what it can and reports width errors inspectably.
-		ds := &dataset.Dataset{Schema: tree.Schema(), Samples: make([]dataset.Sample, 0, total)}
-		for _, j := range live {
-			for _, row := range j.rows {
-				ds.Samples = append(ds.Samples, dataset.Sample{X: row})
-			}
+	ds := &dataset.Dataset{Schema: tree.Schema(), Samples: make([]dataset.Sample, 0, total)}
+	for _, j := range live {
+		for _, row := range j.rows {
+			ds.Samples = append(ds.Samples, dataset.Sample{X: row})
 		}
-		preds, err = tree.PredictDatasetCheckedContext(ctx, ds)
 	}
+	preds, err := tree.PredictDatasetCheckedContext(ctx, ds)
 	if err != nil {
 		// Width mismatches here mean the model was swapped to an
 		// incompatible schema after the handler validated; each job gets
@@ -290,52 +276,4 @@ func (b *batcher) score(live []*scoreJob) {
 	}
 	b.s.rec.VolatileCounter("specchard_batches_total").Add(1)
 	b.s.rec.Gauge("specchard_last_batch_samples").Set(float64(total))
-}
-
-// columnarMin is the coalesced batch size (total samples across the
-// flushed jobs) at or above which the batcher scores through the
-// fused-columnar route: rows are packed into one contiguous column-major
-// slab and scored with PredictColumnsCheckedContext instead of
-// scattering the kernel across per-request row allocations. Smaller
-// batches — single interactive samples above all — stay on the row path,
-// where packing the slab would cost more than it saves.
-const columnarMin = 256
-
-// scoreColumnar packs the live jobs' rows into one column-major slab
-// and scores it through the fused-columnar route. Returns (nil, nil)
-// when the batch should take the row path instead: below the
-// columnarMin threshold, or any row's width disagreeing with the
-// model's schema.
-func (b *batcher) scoreColumnar(ctx context.Context, tree *mtree.CompiledTree, live []*scoreJob, total int) ([]float64, error) {
-	if total < columnarMin {
-		return nil, nil
-	}
-	w := tree.NumAttrs()
-	for _, j := range live {
-		for _, row := range j.rows {
-			if len(row) != w {
-				return nil, nil
-			}
-		}
-	}
-	slab := make([]float64, total*w)
-	cols := make([][]float64, w)
-	for a := 0; a < w; a++ {
-		cols[a] = slab[a*total : (a+1)*total : (a+1)*total]
-	}
-	i := 0
-	for _, j := range live {
-		for _, row := range j.rows {
-			for a, v := range row {
-				cols[a][i] = v
-			}
-			i++
-		}
-	}
-	preds, err := tree.PredictColumnsCheckedContext(ctx, cols, total)
-	if err != nil {
-		return nil, err
-	}
-	b.s.rec.VolatileCounter("specchard_columnar_batches_total").Add(1)
-	return preds, nil
 }

@@ -10,8 +10,7 @@
 // instantly with 429 instead of building an unbounded backlog), and a
 // dispatcher goroutine coalesces the requests queued when it wakes into
 // one batch of up to MaxBatch samples, without waiting for more, scored
-// through one compiled batch call: PredictDatasetCheckedContext, or
-// PredictColumnsCheckedContext once a batch holds columnarMin samples.
+// through one compiled batch call, PredictDatasetCheckedContext.
 // Batching amortizes the per-call overhead across requests exactly like
 // the offline pipeline amortizes it across rows; requests that arrive
 // while a batch scores form the next one, so batches widen with load.
