@@ -39,7 +39,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -216,16 +215,11 @@ type errorResponse struct {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.count("specchard_requests_total")
-	var req scoreRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, bodyStatus(err, http.StatusBadRequest), fmt.Sprintf("decoding request: %v", err))
-		return
-	}
-	// The same strictness ReadJSON applies to artifacts: a request with
-	// trailing bytes after the document is malformed, not sloppy.
-	if tok, err := dec.Token(); err != io.EOF {
-		s.fail(w, bodyStatus(err, http.StatusBadRequest), fmt.Sprintf("trailing data after request body (token %v)", tok))
+	start := time.Now()
+	req, err := readScoreRequest(w, r)
+	s.rec.VolatileCounter("specchard_score_decode_ns_total").Add(time.Since(start).Nanoseconds())
+	if err != nil {
+		s.fail(w, bodyStatus(err, http.StatusBadRequest), err.Error())
 		return
 	}
 	if req.Model == "" {

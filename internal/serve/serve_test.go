@@ -426,7 +426,9 @@ func TestQueuedJobsCoalesce(t *testing.T) {
 }
 
 // Bodies over maxBodyBytes answer 413 on both routes that read one: the
-// client has to send less, so no retry can help.
+// client has to send less, so no retry can help. A score body is read
+// whole before it is decoded, so one that is malformed from its first
+// byte answers 413 too.
 func TestOversizedBodyIs413(t *testing.T) {
 	f := newFixture(t, Config{})
 	score := append([]byte(`{"model":"cpu2006","samples":[`), bytes.Repeat([]byte("[1,2,3,4],"), maxBodyBytes/10+1)...)
@@ -435,6 +437,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 		body         []byte
 	}{
 		{http.MethodPost, "/v1/score", score},
+		{http.MethodPost, "/v1/score", append([]byte("not json"), score...)},
 		{http.MethodPut, "/v1/models/cpu2006", make([]byte, maxBodyBytes+1)},
 	} {
 		req, err := http.NewRequest(tc.method, f.ts.URL+tc.path, bytes.NewReader(tc.body))

@@ -409,12 +409,18 @@ var pcJump = dataset.Chance(0.02)
 
 // nextPC advances the instruction-address cursor through the hot code
 // region, wrapping at the code footprint. Occasional long jumps model
-// function calls across the region.
+// function calls across the region. The wrap subtracts the footprint
+// instead of dividing: repeated subtraction gives (pc+4) % footprint for
+// any footprint, including ones below 4 or not a multiple of 4, and
+// since pc stays below the footprint the loop runs at most four times.
 func (g *Generator) nextPC() uint64 {
 	if g.rng.Below(pcJump) {
 		g.pc = uint64(g.rng.Intn(g.phase.CodeFootprint)) &^ 3
 	} else {
-		g.pc = (g.pc + 4) % uint64(g.phase.CodeFootprint)
+		g.pc += 4
+		for fp := uint64(g.phase.CodeFootprint); g.pc >= fp; {
+			g.pc -= fp
+		}
 	}
 	return g.codeBase + g.pc
 }

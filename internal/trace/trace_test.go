@@ -337,6 +337,43 @@ func TestPCStaysInCodeFootprint(t *testing.T) {
 	}
 }
 
+// nextPCModulo is nextPC as it was written with a modulo per op, kept
+// as the reference for the subtracting wrap.
+func (g *Generator) nextPCModulo() uint64 {
+	if g.rng.Below(pcJump) {
+		g.pc = uint64(g.rng.Intn(g.phase.CodeFootprint)) &^ 3
+	} else {
+		g.pc = (g.pc + 4) % uint64(g.phase.CodeFootprint)
+	}
+	return g.codeBase + g.pc
+}
+
+// The subtracting wrap of nextPC gives the modulo's PCs, long jumps
+// included, on footprints below 4, not a multiple of 4, and the suites'.
+func TestNextPCMatchesModulo(t *testing.T) {
+	for _, fp := range []int{1, 3, 6, 4 << 10, 48 << 10} {
+		p := basePhase()
+		p.CodeFootprint = fp
+		g, _ := NewGenerator(p, dataset.NewRNG(uint64(fp)))
+		ref, _ := NewGenerator(p, dataset.NewRNG(uint64(fp)))
+		jumps := 0
+		for i := 0; i < 200000; i++ {
+			prev := g.pc
+			got, want := g.nextPC(), ref.nextPCModulo()
+			if got != want {
+				t.Fatalf("footprint %d, step %d from pc %d: nextPC %#x, modulo %#x", fp, i, prev, got, want)
+			}
+			if g.pc != (prev+4)%uint64(fp) {
+				jumps++
+			}
+		}
+		// On tiny footprints most jumps land where a step would.
+		if fp >= 4<<10 && jumps < 1000 {
+			t.Errorf("footprint %d: %d visible long jumps in 200000 steps, want ~4000", fp, jumps)
+		}
+	}
+}
+
 func TestFpAssistRate(t *testing.T) {
 	p := basePhase()
 	p.SIMDFrac = 0.5
