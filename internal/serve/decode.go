@@ -70,10 +70,10 @@ func decodeScoreJSON(body []byte) (scoreRequest, error) {
 // non-ASCII in a string, null, other keys or key case, a repeated key,
 // a number strconv.ParseFloat rejects (out of range), or trailing data.
 // Every body it accepts, encoding/json accepts with the same result:
-// numbers are checked against the RFC 8259 grammar and converted with
-// strconv.ParseFloat(s, 64), the call encoding/json makes for a
-// float64, so the bits are the same. FuzzDecodeScoreRequest holds the
-// two against each other.
+// numbers are checked against the RFC 8259 grammar and converted to the
+// same bits as strconv.ParseFloat(s, 64), the call encoding/json makes
+// for a float64 (see num). FuzzDecodeScoreRequest holds the two against
+// each other.
 func parseScoreRequest(body []byte) (scoreRequest, bool) {
 	var req scoreRequest
 	var haveModel, haveSamples bool
@@ -158,82 +158,89 @@ func (p *scoreParser) str() ([]byte, bool) {
 }
 
 // samples consumes an array of arrays of numbers. The numbers go into
-// one backing array and each row is a full slice expression over it; an
-// empty array decodes to an empty, non-nil slice, as in encoding/json.
+// one backing array, sized up front to an upper bound of their count
+// (the parser demands a comma between any two numbers), and each row is
+// a full slice expression over it; an empty array decodes to an empty,
+// non-nil slice, as in encoding/json.
 func (p *scoreParser) samples() ([][]float64, bool) {
-	flat := make([]float64, 0, len(p.b)/8)
+	flat := make([]float64, 0, bytes.Count(p.b[p.i:], []byte{','})+1)
 	rows := [][]float64{}
-	ok := p.array(func() bool {
-		start := len(flat)
-		ok := p.array(func() bool {
-			v, ok := p.num()
-			flat = append(flat, v)
-			return ok
-		})
-		// Appending may move flat; the rows are re-pointed below, so
-		// only their lengths matter here.
-		rows = append(rows, flat[start:])
-		return ok
-	})
-	if !ok {
+	if !p.eat('[') {
 		return nil, false
 	}
-	off := 0
-	for k, row := range rows {
-		end := off + len(row)
-		rows[k] = flat[off:end:end]
-		off = end
+	for first := true; !p.eat(']'); first = false {
+		if !first && !p.eat(',') {
+			return nil, false
+		}
+		if !p.eat('[') {
+			return nil, false
+		}
+		start := len(flat)
+		for first := true; !p.eat(']'); first = false {
+			if !first && !p.eat(',') {
+				return nil, false
+			}
+			v, ok := p.num()
+			if !ok {
+				return nil, false
+			}
+			flat = append(flat, v)
+		}
+		rows = append(rows, flat[start:len(flat):len(flat)])
 	}
 	return rows, true
 }
 
-// array consumes a JSON array, calling elem to consume each element.
-func (p *scoreParser) array(elem func() bool) bool {
-	if !p.eat('[') {
-		return false
-	}
-	if p.eat(']') {
-		return true
-	}
-	for {
-		if !elem() {
-			return false
-		}
-		if p.eat(']') {
-			return true
-		}
-		if !p.eat(',') {
-			return false
-		}
-	}
-}
+// pow10 holds the powers of ten that float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // num consumes one number in the RFC 8259 grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and converts it as
-// encoding/json does. A range error (1e400) is not ok: encoding/json
-// rejects it, so the reference decoder must report it.
+// encoding/json does, to the float64 nearest its decimal value.
+//
+// The scan builds the decimal mantissa m of the digits. A number with no
+// exponent part, m < 2⁵² (so at most 16 significant digits) and k ≤ 22
+// fraction digits is m/10^k with both operands exact, and one IEEE
+// division rounds that quotient correctly, as ParseFloat rounds every
+// number: the bits are the same. It is strconv's own exact case
+// (atof64exact). Every other number goes to strconv.ParseFloat over the
+// same bytes. A range error (1e400) is not ok: encoding/json rejects
+// it, so the reference decoder must report it.
 func (p *scoreParser) num() (float64, bool) {
 	p.ws()
 	b, i := p.b, p.i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var m uint64
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		i, m = mantissa(b, i, 0)
 	default:
 		return 0, false
 	}
+	k := 0
 	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
+		j, mf := mantissa(b, i+1, m)
 		if j == i+1 {
 			return 0, false
 		}
-		i = j
+		k, i, m = j-i-1, j, mf
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	exp := i < len(b) && (b[i] == 'e' || b[i] == 'E')
+	if !exp && m < 1<<52 && k < len(pow10) {
+		v := float64(m) / pow10[k]
+		if neg {
+			v = -v
+		}
+		p.i = i
+		return v, true
+	}
+	if exp {
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
@@ -250,6 +257,19 @@ func (p *scoreParser) num() (float64, bool) {
 	}
 	p.i = i
 	return v, true
+}
+
+// mantissa scans the digits from i, appending each to m while m is
+// below 2⁵², and returns the index of the first non-digit and m. Once
+// m reaches 2⁵² it stops growing, so it never overflows and stays at or
+// above 2⁵², outside num's exact window.
+func mantissa(b []byte, i int, m uint64) (int, uint64) {
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		if m < 1<<52 {
+			m = m*10 + uint64(b[i]-'0')
+		}
+	}
+	return i, m
 }
 
 // digits returns the index of the first non-digit at or after i.

@@ -7,10 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"specchar/internal/obs"
 )
@@ -34,6 +37,23 @@ func randomRows(n, width int, seed int64) [][]float64 {
 		rows[i] = make([]float64, width)
 		for j := range rows[i] {
 			rows[i][j] = float64(rng.Intn(100000)) / 1e5
+		}
+	}
+	return rows
+}
+
+// countsRows draws n rows of width dyadic values k/256, about 60% of
+// them zero: the shape of PMU counter rows, whose densities are
+// mostly exact zeros and short binary fractions.
+func countsRows(n, width int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, width)
+		for j := range rows[i] {
+			if rng.Float64() >= 0.6 {
+				rows[i][j] = float64(1+rng.Intn(1024)) / 256
+			}
 		}
 	}
 	return rows
@@ -154,6 +174,41 @@ var scoreBodyCases = []struct {
 		`400 {"error":"decoding request: EOF"}`},
 }
 
+// numberEdges sit on and around the edges of the parser's exact
+// window: no exponent part, a decimal mantissa below 2⁵² and at most 22
+// fraction digits convert with one division, the rest with ParseFloat.
+var numberEdges = []string{
+	"4503599627370495", "4503599627370496", "9007199254740993", // 2⁵²−1, 2⁵², 2⁵³+1
+	"450359962737049.5", "450359962737049.6", "4503599627370495.5", "0.4503599627370495", "0.4503599627370496",
+	"1234567890123456789", "12345678901234567890", // 19 and 20 significant digits
+	"0.1234567890123456789", "0.12345678901234567891", "9007199254740993.0000001",
+	"0.0000000000000000000003", "0.00000000000000000000003", // 22 and 23 fraction digits
+	"1.000000000000000000003", "0." + strings.Repeat("0", 40) + "1", "0." + strings.Repeat("0", 400) + "1",
+	"-0", "-0.0", "0.0", "1e-7", "1E+2", "5e-324", "-5e-324",
+	"0.1", "0.3", "2.675", "-123.456", "0.00390625", "3.99609375", "-4503599627370495.0",
+}
+
+// numberBody wraps one number in a one-sample request.
+func numberBody(num string) string {
+	return `{"model":"m","samples":[[` + num + `]]}`
+}
+
+// checkNumber holds the parser's conversion of one number against
+// strconv.ParseFloat, bitwise.
+func checkNumber(t *testing.T, num string) {
+	t.Helper()
+	want, err := strconv.ParseFloat(num, 64)
+	if err != nil {
+		t.Fatalf("ParseFloat(%q): %v", num, err)
+	}
+	p := scoreParser{b: []byte(num)}
+	got, ok := p.num()
+	if !ok || p.i != len(num) || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("num(%q) = %v (%#x), ok=%v, consumed %d of %d bytes; ParseFloat gives %v (%#x)",
+			num, got, math.Float64bits(got), ok, p.i, len(num), want, math.Float64bits(want))
+	}
+}
+
 func TestDecodeScoreRequestEdges(t *testing.T) {
 	for _, tc := range scoreBodyCases {
 		if got := checkDecode(t, []byte(tc.body)); got != tc.fast {
@@ -164,6 +219,33 @@ func TestDecodeScoreRequestEdges(t *testing.T) {
 		if body := canonicalBody(t, "cpu2006", randomRows(rows, 19, 1)); !checkDecode(t, body) {
 			t.Errorf("canonical %d-row body fell back to encoding/json", rows)
 		}
+	}
+	for _, num := range numberEdges {
+		if !checkDecode(t, []byte(numberBody(num))) {
+			t.Errorf("%s: single-pass parser fell back to encoding/json", num)
+		}
+		checkNumber(t, num)
+	}
+	// Random decimals of 1 to 20 digits with the point anywhere, so both
+	// sides of every edge of the exact window come up.
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 20000; n++ {
+		digits := make([]byte, 1+rng.Intn(20))
+		for d := range digits {
+			digits[d] = byte('0' + rng.Intn(10))
+		}
+		num := "0." + strings.Repeat("0", rng.Intn(8)) + string(digits)
+		if whole := rng.Intn(len(digits) + 1); whole > 0 {
+			digits[0] = byte('1' + rng.Intn(9))
+			num = string(digits[:whole])
+			if whole < len(digits) {
+				num += "." + string(digits[whole:])
+			}
+		}
+		if rng.Intn(2) == 0 {
+			num = "-" + num
+		}
+		checkNumber(t, num)
 	}
 	req, _ := parseScoreRequest([]byte(`{"model":"m","samples":[[-0,5e-324,1.7976931348623157e308]]}`))
 	if got := req.Samples[0]; math.Float64bits(got[0]) != 1<<63 || math.Float64bits(got[1]) != 1 || got[2] != math.MaxFloat64 {
@@ -196,6 +278,9 @@ func FuzzDecodeScoreRequest(f *testing.F) {
 	for _, tc := range scoreBodyCases {
 		f.Add([]byte(tc.body))
 	}
+	for _, num := range numberEdges {
+		f.Add([]byte(numberBody(num)))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, body)
 	})
@@ -224,24 +309,70 @@ func TestScoreDecodeCounter(t *testing.T) {
 	}
 }
 
+// The server-side layer counters of a score request (decode, wait for
+// the batch, encode and write) time disjoint stretches of the handler,
+// so their sums never exceed the handler's own time.
+func TestScoreLayerTimesWithinHandlerTotal(t *testing.T) {
+	rec := obs.New()
+	f := newFixture(t, Config{Recorder: rec})
+	var total atomic.Int64
+	h := f.srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		h.ServeHTTP(w, r)
+		total.Add(time.Since(start).Nanoseconds())
+	}))
+	defer ts.Close()
+	for _, n := range []int{1, 4, 512} {
+		body := canonicalBody(t, "cpu2006", rowsOf(f.data, 0, n))
+		resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d-sample request: status %d", n, resp.StatusCode)
+		}
+	}
+	var sum int64
+	for _, name := range []string{"specchard_score_decode_ns_total", "specchard_score_wait_ns_total", "specchard_score_encode_ns_total"} {
+		ns := rec.VolatileCounter(name).Value()
+		if ns <= 0 {
+			t.Errorf("%s = %d after three scored requests, want > 0", name, ns)
+		}
+		sum += ns
+	}
+	if sum > total.Load() {
+		t.Errorf("layer times add up to %d ns, more than the handler's %d ns", sum, total.Load())
+	}
+}
+
+// BenchmarkDecodeScoreRequest decodes 1- and 512-row bodies of 19
+// attributes two ways: decimal holds random five-place decimals, counts
+// the dyadic, mostly zero values of PMU rows.
 func BenchmarkDecodeScoreRequest(b *testing.B) {
-	for _, rows := range []int{1, 512} {
-		body := canonicalBody(b, "cpu2006", randomRows(rows, 19, 1))
-		for _, dec := range []struct {
-			name string
-			fn   func([]byte) (scoreRequest, error)
-		}{{"fast", decodeScoreRequest}, {"json", decodeScoreJSON}} {
-			b.Run(fmt.Sprintf("%d/%s", rows, dec.name), func(b *testing.B) {
-				b.SetBytes(int64(len(body)))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					req, err := dec.fn(body)
-					if err != nil {
-						b.Fatal(err)
+	for _, kind := range []struct {
+		name string
+		rows func(n, width int, seed int64) [][]float64
+	}{{"decimal", randomRows}, {"counts", countsRows}} {
+		for _, rows := range []int{1, 512} {
+			body := canonicalBody(b, "cpu2006", kind.rows(rows, 19, 1))
+			for _, dec := range []struct {
+				name string
+				fn   func([]byte) (scoreRequest, error)
+			}{{"fast", decodeScoreRequest}, {"json", decodeScoreJSON}} {
+				b.Run(fmt.Sprintf("%s/%d/%s", kind.name, rows, dec.name), func(b *testing.B) {
+					b.SetBytes(int64(len(body)))
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						req, err := dec.fn(body)
+						if err != nil {
+							b.Fatal(err)
+						}
+						benchRequest = req
 					}
-					benchRequest = req
-				}
-			})
+				})
+			}
 		}
 	}
 }

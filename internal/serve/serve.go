@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -254,13 +255,28 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, r, err)
 		return
 	}
+	submitted := time.Now()
 	out, version, err := b.submit(ctx, req.Samples)
+	s.rec.VolatileCounter("specchard_score_wait_ns_total").Add(time.Since(submitted).Nanoseconds())
 	if err != nil {
 		s.failErr(w, r, err)
 		return
 	}
 	s.rec.Counter("specchard_samples_scored_total").Add(int64(len(req.Samples)))
+	// JSON has no token for ±Inf or NaN. A finite request can still
+	// score to one (inputs near MaxFloat64 overflow a leaf's linear
+	// model); that is the request's doing, so it is a 4xx, which the
+	// client does not retry.
+	for i, p := range out {
+		if math.IsInf(p, 0) || math.IsNaN(p) {
+			s.fail(w, http.StatusUnprocessableEntity,
+				fmt.Sprintf("sample %d: prediction is %v, which JSON cannot represent", i, p))
+			return
+		}
+	}
+	encoding := time.Now()
 	s.writeJSON(w, http.StatusOK, scoreResponse{Model: req.Model, Version: version, Predictions: out})
+	s.rec.VolatileCounter("specchard_score_encode_ns_total").Add(time.Since(encoding).Nanoseconds())
 }
 
 // bodyStatus maps a request-body read error to its status: 413 when the
@@ -403,11 +419,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // they stay out of deterministic manifests). Nil-safe via the recorder.
 func (s *Server) count(name string) { s.rec.VolatileCounter(name).Add(1) }
 
+// writeJSON answers with v as a JSON document and a trailing newline.
+// It marshals before it writes anything, so a value that cannot be
+// encoded answers 500 with an error body rather than a status with an
+// empty or cut-off body.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.count("specchard_request_errors_total")
+		status = http.StatusInternalServerError
+		// A struct of one string always marshals.
+		body, _ = json.Marshal(errorResponse{Error: fmt.Sprintf("encoding response: %v", err)})
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.count("specchard_request_errors_total")
 	}
 }

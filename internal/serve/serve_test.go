@@ -458,6 +458,31 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}
 }
 
+// A prediction JSON cannot carry answers 422 naming the sample, not a
+// 200 with an empty body, and a response value that fails to marshal
+// answers 500 with an error body of the length it declares.
+func TestNonFinitePredictionIs422(t *testing.T) {
+	f := newFixture(t, Config{})
+	huge := [][]float64{{1, 2, 3, 4}, {math.MaxFloat64, math.MaxFloat64, math.MaxFloat64, math.MaxFloat64}}
+	if p := f.tree.Predict(huge[1]); !math.IsInf(p, 0) && !math.IsNaN(p) {
+		t.Fatalf("fixture predicts %v for MaxFloat64 inputs, want a non-finite value", p)
+	}
+	status, _, msg := f.score(t, "cpu2006", huge)
+	if status != http.StatusUnprocessableEntity || !strings.HasPrefix(msg, "sample 1: prediction is ") {
+		t.Errorf("non-finite prediction: status %d (%q), want 422 naming sample 1", status, msg)
+	}
+
+	w := httptest.NewRecorder()
+	f.srv.writeJSON(w, http.StatusOK, math.Inf(1))
+	var er errorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusInternalServerError || er.Error == "" {
+		t.Errorf("unencodable response: status %d, body %q, want 500 with an error", w.Code, w.Body.String())
+	}
+	if cl := w.Header().Get("Content-Length"); cl != fmt.Sprint(w.Body.Len()) {
+		t.Errorf("Content-Length %s for a %d-byte body", cl, w.Body.Len())
+	}
+}
+
 // The acceptance criterion: hot-swapping the model under sustained
 // concurrent scoring loses zero requests, every response carries a
 // version that was actually published, and every prediction matches that
