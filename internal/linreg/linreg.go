@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 )
@@ -192,47 +193,111 @@ func columnTol(col []float64) float64 {
 // refit that resumes from a cached factorization prefix executes
 // literally the same instruction sequence a from-scratch factorization
 // would — the foundation of the bit-for-bit equivalence contract.
+//
+// The reflector is applied to the trailing columns and b four targets
+// per pass (b is the last target), which keeps four independent add
+// chains in flight; each dot product is still summed in ascending row
+// order, so every accumulator sees the same operations as a
+// column-at-a-time pass (DESIGN.md §10, "The elimination kernel").
 func householderStep(ck []float64, col func(int) []float64, b []float64, k, q, n int, tol float64) bool {
-	var norm float64
-	for i := k; i < n; i++ {
-		norm = math.Hypot(norm, ck[i])
-	}
+	v := ck[k:n]
+	norm := columnNorm(v)
 	if norm <= tol {
-		for i := k; i < n; i++ {
-			ck[i] = 0
-		}
+		clear(v)
 		return false
 	}
-	if ck[k] < 0 {
+	if v[0] < 0 {
 		norm = -norm
 	}
-	for i := k; i < n; i++ {
-		ck[i] /= norm
+	for i := range v {
+		v[i] /= norm
 	}
-	ck[k] += 1
-	// Apply the reflector to remaining columns.
-	for j := k + 1; j < q; j++ {
-		cj := col(j)
+	v[0] += 1
+	// target j in k+1..q: rows k..n-1 of trailing column j, or of b for
+	// j == q, resliced to len(v) so the row loops carry no bounds checks.
+	target := func(j int) []float64 {
+		c := b
+		if j < q {
+			c = col(j)
+		}
+		return c[k:n][:len(v)]
+	}
+	j := k + 1
+	for ; j+3 <= q; j += 4 {
+		c0, c1, c2, c3 := target(j), target(j+1), target(j+2), target(j+3)
+		var s0, s1, s2, s3 float64
+		for i, vi := range v {
+			s0 += vi * c0[i]
+			s1 += vi * c1[i]
+			s2 += vi * c2[i]
+			s3 += vi * c3[i]
+		}
+		s0 = -s0 / v[0]
+		s1 = -s1 / v[0]
+		s2 = -s2 / v[0]
+		s3 = -s3 / v[0]
+		for i, vi := range v {
+			c0[i] += s0 * vi
+			c1[i] += s1 * vi
+			c2[i] += s2 * vi
+			c3[i] += s3 * vi
+		}
+	}
+	for ; j <= q; j++ {
+		c := target(j)
 		var s float64
-		for i := k; i < n; i++ {
-			s += ck[i] * cj[i]
+		for i, vi := range v {
+			s += vi * c[i]
 		}
-		s = -s / ck[k]
-		for i := k; i < n; i++ {
-			cj[i] += s * ck[i]
+		s = -s / v[0]
+		for i, vi := range v {
+			c[i] += s * vi
 		}
 	}
-	// Apply to b.
-	var s float64
-	for i := k; i < n; i++ {
-		s += ck[i] * b[i]
-	}
-	s = -s / ck[k]
-	for i := k; i < n; i++ {
-		b[i] += s * ck[i]
-	}
-	ck[k] = -norm
+	v[0] = -norm
 	return true
+}
+
+// columnNorm returns the Euclidean norm of x as the chain
+// norm = math.Hypot(norm, x[i]) over ascending i, bit for bit. The
+// body is math's portable hypot, written into the loop so the chain
+// stays in registers: the amd64 math.Hypot is an assembly routine that
+// takes its operands and result through the stack on every step, and
+// its instruction sequence (divide, multiply, add 1, square root,
+// multiply) is exactly this one. Non-finite operands go to math.Hypot
+// itself for its special cases. hypot's Abs of its first operand is
+// left out: every norm the chain produces is +0, positive, +Inf or NaN,
+// for which Abs changes nothing the branches look at, and dropping it
+// takes a round trip through an integer register off the chain.
+//
+// On 386, math.Hypot is x87 assembly that rounds through extended
+// precision, and a subnormal result can differ from this body in the
+// last bit, so there the chain stays on math.Hypot.
+func columnNorm(x []float64) float64 {
+	var norm float64
+	if runtime.GOARCH == "386" {
+		for _, xi := range x {
+			norm = math.Hypot(norm, xi)
+		}
+		return norm
+	}
+	for _, xi := range x {
+		p, q := norm, math.Abs(xi)
+		if !(p <= math.MaxFloat64 && q <= math.MaxFloat64) {
+			norm = math.Hypot(norm, xi)
+			continue
+		}
+		if p < q {
+			p, q = q, p
+		}
+		if p == 0 {
+			norm = 0
+			continue
+		}
+		q = q / p
+		norm = p * math.Sqrt(1+q*q)
+	}
+	return norm
 }
 
 // backSubstitute solves the upper-triangular system left behind by the

@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// simplifyNaive is the pre-engine Simplify: a from-scratch Fit per
-// leave-one-term-out trial. It is the reference the prefix-reusing
-// engine must match bit for bit.
-func simplifyNaive(m *Model, xs [][]float64, y []float64) *Model {
+// simplifyNaive is the pre-engine Simplify: a from-scratch fit per
+// leave-one-term-out trial. With fit = Fit it is the reference the
+// prefix-reusing engine must match bit for bit.
+func simplifyNaive(m *Model, xs [][]float64, y []float64, fit func([][]float64, []float64, []int) (*Model, error)) *Model {
 	best := m
 	bestErr := CompensatedError(best, xs, y)
 	trial := make([]int, 0, len(m.Terms))
@@ -22,7 +22,7 @@ func simplifyNaive(m *Model, xs [][]float64, y []float64) *Model {
 				cand = FitConstant(y)
 			} else {
 				var err error
-				cand, err = Fit(xs, y, trial)
+				cand, err = fit(xs, y, trial)
 				if err != nil {
 					continue
 				}
@@ -112,7 +112,7 @@ func TestSimplifyEngineMatchesNaive(t *testing.T) {
 			t.Fatalf("trial %d: Fit: %v", trial, err)
 		}
 		got := Simplify(m, xs, y)
-		want := simplifyNaive(m, xs, y)
+		want := simplifyNaive(m, xs, y, Fit)
 		if !modelsIdentical(got, want) {
 			t.Fatalf("trial %d (n=%d attrs=%d dup=%d const=%d):\nengine %+v\nnaive  %+v",
 				trial, n, nAttrs, dupFrom, constCol, got, want)
@@ -147,7 +147,7 @@ func TestSimplifyEngineUnderDetermined(t *testing.T) {
 			t.Fatalf("trial %d: Fit: %v", trial, err)
 		}
 		got := Simplify(m, xs, y)
-		want := simplifyNaive(m, xs, y)
+		want := simplifyNaive(m, xs, y, Fit)
 		if !modelsIdentical(got, want) {
 			t.Fatalf("trial %d (n=%d attrs=%d):\nengine %+v\nnaive  %+v", trial, n, nAttrs, got, want)
 		}

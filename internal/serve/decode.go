@@ -160,11 +160,14 @@ func (p *scoreParser) str() ([]byte, bool) {
 // samples consumes an array of arrays of numbers. The numbers go into
 // one backing array, sized up front to an upper bound of their count
 // (the parser demands a comma between any two numbers), and each row is
-// a full slice expression over it; an empty array decodes to an empty,
-// non-nil slice, as in encoding/json.
+// a full slice expression over it. The row headers are sized up front
+// too: every row opens with '[' and any two rows are separated by a
+// comma, so neither count can fall short of the rows. An empty array
+// decodes to an empty, non-nil slice, as in encoding/json.
 func (p *scoreParser) samples() ([][]float64, bool) {
-	flat := make([]float64, 0, bytes.Count(p.b[p.i:], []byte{','})+1)
-	rows := [][]float64{}
+	rest := p.b[p.i:]
+	flat := make([]float64, 0, bytes.Count(rest, []byte{','})+1)
+	rows := make([][]float64, 0, min(bytes.Count(rest, []byte{'['}), cap(flat)))
 	if !p.eat('[') {
 		return nil, false
 	}

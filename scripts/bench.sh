@@ -1,18 +1,20 @@
 #!/bin/sh
 # Runs the microbenchmarks of the layers that own the pipeline's time
 # (the uarch simulator, the trace generator, PMU multiplexing, the
-# linreg fit, the dataset RNG, and M5' induction), plus the score
-# request decode that owns most of a bulk specchard request, and writes
-# a JSON evidence file via cmd/benchjson: the median of 6 runs per
-# benchmark.
+# linreg fit and simplification, the dataset RNG, and M5' induction),
+# plus the score request decode that owns most of a bulk specchard
+# request, and writes a JSON evidence file via cmd/benchjson: the
+# median of 6 runs per benchmark.
 # The runs are six passes over the whole set, one run of each benchmark
 # per pass, so drift of a shared host spreads across all benchmarks
 # instead of landing on the six back-to-back repeats of one.
 #
 # Baselines embedded for speedup bookkeeping are the BENCH_PR15.json
 # medians (2-vCPU Xeon @ 2.10GHz). BenchmarkBuild* has no baseline
-# there and is reported without one, as is BenchmarkDecodeScoreRequest
-# (single-pass parser vs encoding/json, 1 and 512 samples).
+# there and is reported without one, as are BenchmarkSimplifyRoot (the
+# fit and simplification of a root-sized linear model, ~6 000 rows x 19
+# attributes) and BenchmarkDecodeScoreRequest (single-pass parser vs
+# encoding/json, 1 and 512 samples).
 #
 # Regression gate: each BenchmarkCoreRun/* subcase is checked against its
 # BENCH_PR15.json median times NOISE_PCT/100; the run fails (after
@@ -38,7 +40,7 @@ gate() { awk -v ns="$1" -v pct="$noise_pct" 'BEGIN { printf "%.2f", ns * pct / 1
 
 for pass in 1 2 3 4 5 6; do
     go test -run '^$' -count 1 -benchtime "$benchtime" -benchmem \
-        -bench '^Benchmark(CoreRun|GeneratorNext|CacheAccess|TLBAccess|MultiplexerSample|Fit|RNGBelow|RNGFloat64Less|Build|DecodeScoreRequest)' \
+        -bench '^Benchmark(CoreRun|GeneratorNext|CacheAccess|TLBAccess|MultiplexerSample|Fit|SimplifyRoot|RNGBelow|RNGFloat64Less|Build|DecodeScoreRequest)' \
         ./internal/uarch ./internal/trace ./internal/pmu ./internal/linreg ./internal/dataset ./internal/serve .
 done |
     tee /dev/stderr |
