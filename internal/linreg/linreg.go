@@ -415,6 +415,9 @@ func Simplify(m *Model, xs [][]float64, y []float64) *Model {
 	}
 	eng := simplifyPool.Get().(*simplifyEngine)
 	defer simplifyPool.Put(eng)
+	// The cached tolerances belong to the last call's rows.
+	eng.icptTol = 0
+	clear(eng.termTol)
 	// One reusable candidate-term buffer for the fallback path: Fit copies
 	// the entries it keeps into the model, so it can be rewritten between
 	// trials.
@@ -474,6 +477,13 @@ type simplifyEngine struct {
 	ok    []bool    // reference step outcomes, valid for steps < step
 	step  int       // number of reference Householder steps applied
 
+	// A column's tolerance depends only on its term (or on the row count,
+	// for the intercept), so it is computed once per Simplify call, in the
+	// first round that gathers the column: termTol by term index, 0 until
+	// computed (columnTol is never 0).
+	icptTol float64
+	termTol []float64
+
 	ta   []float64 // trial workspace matrix (suffix columns only)
 	tb   []float64 // trial response
 	tok  []bool    // trial step outcomes
@@ -511,6 +521,11 @@ func (e *simplifyEngine) init(xs [][]float64, y []float64, terms []int) bool {
 	for i := 0; i < n; i++ {
 		a[i] = 1 // intercept column
 	}
+	tol := e.grow(&e.tol, p)
+	if e.icptTol == 0 {
+		e.icptTol = columnTol(a[:n])
+	}
+	tol[0] = e.icptTol
 	for j, t := range terms {
 		col := a[(j+1)*n : (j+2)*n]
 		for i, row := range xs {
@@ -519,12 +534,15 @@ func (e *simplifyEngine) init(xs [][]float64, y []float64, terms []int) bool {
 			}
 			col[i] = row[t]
 		}
+		if t >= len(e.termTol) {
+			e.termTol = append(e.termTol, make([]float64, t+1-len(e.termTol))...)
+		}
+		if e.termTol[t] == 0 {
+			e.termTol[t] = columnTol(col)
+		}
+		tol[j+1] = e.termTol[t]
 	}
 	copy(e.grow(&e.b, n), y)
-	tol := e.grow(&e.tol, p)
-	for j := 0; j < p; j++ {
-		tol[j] = columnTol(e.col(j))
-	}
 	if cap(e.ok) < p {
 		e.ok = make([]bool, p)
 	}

@@ -184,6 +184,8 @@ func (p *Phase) Validate() error {
 		return errors.New("trace: PartialOverlapFrac outside [0,1]")
 	case p.DataFootprint < 0 || p.CodeFootprint < 0:
 		return errors.New("trace: negative footprint")
+	case p.PageSpread > math.MaxInt/pageSize:
+		return fmt.Errorf("trace: PageSpread %d pages overflows the address span", p.PageSpread)
 	case p.FpAssistRate < 0 || p.FpAssistRate > 1:
 		return errors.New("trace: FpAssistRate outside [0,1]")
 	case p.ILP < 0:
@@ -197,7 +199,11 @@ const pageSize = 4096
 // Generator produces the op stream of one phase.
 type Generator struct {
 	phase Phase
-	rng   *dataset.RNG
+	// rng is the caller's generator. next loads its state into a local
+	// once per op, threads that value through every draw of the op, and
+	// stores it back once at the end: the same draws in the same order as
+	// drawing through the pointer, without a load and store per draw.
+	rng *dataset.RNG
 
 	// mix holds the cumulative instruction-mix thresholds as
 	// dataset.Chance draw thresholds: Load, then +Store, +Branch, +Mul,
@@ -207,9 +213,15 @@ type Generator struct {
 	// so every Bernoulli draw is one integer compare (RNG.Below).
 	seq, hot, misalign, storeAlias, partialOverlap, fpAssist uint64
 
+	// The per-op uniform draws' ranges, fixed at construction: the code
+	// footprint (long jumps), HotBytes, the roaming span (PageSpread
+	// pages, else DataFootprint) and the branch-site count.
+	code, hotBytes, roam, sites divisor
+
 	dataBase uint64 // base virtual address of the data region
 	codeBase uint64
 	seqAddr  uint64 // cursor of the sequential access stream
+	seqEnd   uint64 // dataBase + DataFootprint, where seqAddr wraps
 	pc       uint64 // cursor within the hot code region
 
 	branchTaken []uint64 // per-site Chance threshold of "taken"
@@ -248,17 +260,61 @@ func (r *ring) push(s storeRec) {
 // aliasWindow stores rather than the whole ring.
 const aliasWindow = 8
 
-// pick returns a recent store, biased to the most recent aliasWindow.
-func (r *ring) pick(rng *dataset.RNG) (storeRec, bool) {
+// pick returns a recent store, biased to the most recent aliasWindow,
+// and the advanced RNG state. An empty ring draws nothing. The draw is
+// reduced as RNG.Intn(min(n, aliasWindow)) reduces it; once the ring
+// holds aliasWindow stores (a power of two) that is a mask.
+func (r *ring) pick(s dataset.RNG) (dataset.RNG, storeRec, bool) {
 	if r.n == 0 {
-		return storeRec{}, false
+		return s, storeRec{}, false
 	}
-	span := r.n
-	if span > aliasWindow {
-		span = aliasWindow
+	s, x := s.Next()
+	if r.n >= aliasWindow {
+		x &= aliasWindow - 1
+	} else {
+		x %= uint64(r.n)
 	}
-	idx := (r.next - 1 - rng.Intn(span) + 2*len(r.buf)) % len(r.buf)
-	return r.buf[idx], true
+	idx := (r.next - 1 - int(x) + 2*len(r.buf)) % len(r.buf)
+	return s, r.buf[idx], true
+}
+
+// divisor reduces a 64-bit draw to [0, n) exactly as RNG.Intn(n) does,
+// x % n, with n fixed when the generator is built. For a power-of-two n
+// the remainder is the low bits of x, so it is taken as x & (n-1).
+type divisor struct {
+	n    uint64
+	mask uint64 // n-1 if n is a power of two above 1, else 0
+}
+
+// newDivisor returns the divisor for n. Every n the generator passes is
+// positive once the phase's defaults are in, so this cannot panic; it
+// checks that once here instead of on every draw, as Intn would.
+func newDivisor(n int) divisor {
+	if n <= 0 {
+		panic(fmt.Sprintf("trace: draw range %d is not positive", n))
+	}
+	d := divisor{n: uint64(n)}
+	if n&(n-1) == 0 {
+		d.mask = d.n - 1
+	}
+	return d
+}
+
+// draw consumes one draw of s and returns the advanced state and the
+// draw reduced to [0, n).
+func (d divisor) draw(s dataset.RNG) (dataset.RNG, uint64) {
+	s, x := s.Next()
+	if d.mask != 0 {
+		return s, x & d.mask
+	}
+	return s, x % d.n // n = 1 comes here too, and gives 0 either way
+}
+
+// below consumes one draw of s and reports, with the advanced state,
+// whether it falls below the threshold t: RNG.Below on a value.
+func below(s dataset.RNG, t uint64) (dataset.RNG, bool) {
+	s, x := s.Next()
+	return s, x>>11 < t
 }
 
 // NewGenerator builds a generator over the phase. The phase must be
@@ -296,12 +352,21 @@ func NewGeneratorSlot(phase Phase, rng *dataset.RNG, slot int) (*Generator, erro
 	if phase.HotBytes > phase.DataFootprint {
 		phase.HotBytes = phase.DataFootprint
 	}
+	roam := phase.DataFootprint
+	if phase.PageSpread > 0 {
+		roam = phase.PageSpread * pageSize
+	}
 	g := &Generator{
 		phase:    phase,
 		rng:      rng,
+		code:     newDivisor(phase.CodeFootprint),
+		hotBytes: newDivisor(phase.HotBytes),
+		roam:     newDivisor(roam),
+		sites:    newDivisor(phase.BranchSites),
 		dataBase: 0x10_0000_0000 + uint64(slot)*0x40_0000_0000,
 		codeBase: 0x40_0000, // code is shared between threads, as in OMP
 	}
+	g.seqEnd = g.dataBase + uint64(phase.DataFootprint)
 	// Accumulated left to right, so each threshold is that of the float64
 	// the prefix sum LoadFrac+StoreFrac+... evaluates to; every generated
 	// dataset depends on these exact values.
@@ -379,29 +444,33 @@ func (g *Generator) NextInto(op *Op) {
 	g.next(op)
 }
 
-// next fills the zero op with the next op of the stream.
+// next fills the zero op with the next op of the stream. The RNG state
+// is read once into s and written back once; every draw in between goes
+// through s (see Generator.rng).
 func (g *Generator) next(op *Op) {
 	g.opCount++
-	u := g.rng.Uint64() >> 11 // the draw Float64 would scale by 2⁻⁵³
-	op.PC = g.nextPC()
+	s, x := g.rng.Next()
+	u := x >> 11 // the draw Float64 would scale by 2⁻⁵³
+	s, op.PC = g.nextPC(s)
 	op.AliasDist = -1
 	switch {
 	case u < g.mix[0]:
-		g.genLoad(op)
+		s = g.genLoad(s, op)
 	case u < g.mix[1]:
-		g.genStore(op)
+		s = g.genStore(s, op)
 	case u < g.mix[2]:
-		g.genBranch(op)
+		s = g.genBranch(s, op)
 	case u < g.mix[3]:
 		op.Kind = Mul
 	case u < g.mix[4]:
 		op.Kind = Div
 	case u < g.mix[5]:
 		op.Kind = SIMDOp
-		op.FpAssist = g.rng.Below(g.fpAssist)
+		s, op.FpAssist = below(s, g.fpAssist)
 	default:
 		op.Kind = ALU
 	}
+	*g.rng = s
 }
 
 // pcJump is the Chance threshold of nextPC's 2% long jump.
@@ -413,16 +482,19 @@ var pcJump = dataset.Chance(0.02)
 // instead of dividing: repeated subtraction gives (pc+4) % footprint for
 // any footprint, including ones below 4 or not a multiple of 4, and
 // since pc stays below the footprint the loop runs at most four times.
-func (g *Generator) nextPC() uint64 {
-	if g.rng.Below(pcJump) {
-		g.pc = uint64(g.rng.Intn(g.phase.CodeFootprint)) &^ 3
+func (g *Generator) nextPC(s dataset.RNG) (dataset.RNG, uint64) {
+	s, jump := below(s, pcJump)
+	if jump {
+		var x uint64
+		s, x = g.code.draw(s)
+		g.pc = x &^ 3
 	} else {
 		g.pc += 4
-		for fp := uint64(g.phase.CodeFootprint); g.pc >= fp; {
-			g.pc -= fp
+		for g.pc >= g.code.n {
+			g.pc -= g.code.n
 		}
 	}
-	return g.codeBase + g.pc
+	return s, g.codeBase + g.pc
 }
 
 func (g *Generator) accessSize() uint32 {
@@ -430,42 +502,45 @@ func (g *Generator) accessSize() uint32 {
 }
 
 // dataAddr produces the next data address according to the locality mix.
-func (g *Generator) dataAddr(size uint32) uint64 {
-	p := &g.phase
-	var addr uint64
-	switch {
-	case g.rng.Below(g.seq):
+func (g *Generator) dataAddr(s dataset.RNG, size uint32) (dataset.RNG, uint64) {
+	var addr, x uint64
+	var ok bool
+	if s, ok = below(s, g.seq); ok {
 		g.seqAddr += uint64(size)
-		if g.seqAddr >= g.dataBase+uint64(p.DataFootprint) {
+		if g.seqAddr >= g.seqEnd {
 			g.seqAddr = g.dataBase
 		}
 		addr = g.seqAddr
-	case g.rng.Below(g.hot):
-		addr = g.dataBase + uint64(g.rng.Intn(p.HotBytes))
-	default:
-		span := p.DataFootprint
-		if p.PageSpread > 0 {
-			span = p.PageSpread * pageSize
-		}
-		addr = g.dataBase + uint64(g.rng.Intn(span))
+	} else if s, ok = below(s, g.hot); ok {
+		s, x = g.hotBytes.draw(s)
+		addr = g.dataBase + x
+	} else {
+		s, x = g.roam.draw(s)
+		addr = g.dataBase + x
 	}
-	// Natural alignment unless a misalignment is injected.
+	// Natural alignment unless a misalignment is injected: an offset in
+	// [1, size), the draw reduced as RNG.Intn(size-1) reduces it.
 	addr &^= uint64(size) - 1
-	if size > 1 && g.rng.Below(g.misalign) {
-		addr += uint64(1 + g.rng.Intn(int(size)-1))
+	if size > 1 {
+		if s, ok = below(s, g.misalign); ok {
+			s, x = s.Next()
+			addr += 1 + x%(uint64(size)-1)
+		}
 	}
-	return addr
+	return s, addr
 }
 
-func (g *Generator) genLoad(op *Op) {
+func (g *Generator) genLoad(s dataset.RNG, op *Op) dataset.RNG {
 	op.Kind = Load
 	op.Size = g.accessSize()
-	if g.rng.Below(g.storeAlias) {
-		if st, ok := g.recentStores.pick(g.rng); ok {
+	var ok bool
+	if s, ok = below(s, g.storeAlias); ok {
+		var st storeRec
+		if s, st, ok = g.recentStores.pick(s); ok {
 			op.Addr = st.addr
 			op.Size = st.size
 			op.AliasDist = g.opCount - st.op
-			if g.rng.Below(g.partialOverlap) {
+			if s, ok = below(s, g.partialOverlap); ok {
 				// Load a narrower slice at a non-zero offset inside the
 				// stored bytes: partial overlap, hostile to forwarding.
 				op.PartialOverlap = true
@@ -474,22 +549,25 @@ func (g *Generator) genLoad(op *Op) {
 					op.Size = st.size / 2
 				}
 			}
-			return
+			return s
 		}
 	}
-	op.Addr = g.dataAddr(op.Size)
+	s, op.Addr = g.dataAddr(s, op.Size)
+	return s
 }
 
-func (g *Generator) genStore(op *Op) {
+func (g *Generator) genStore(s dataset.RNG, op *Op) dataset.RNG {
 	op.Kind = Store
 	op.Size = g.accessSize()
-	op.Addr = g.dataAddr(op.Size)
+	s, op.Addr = g.dataAddr(s, op.Size)
 	g.recentStores.push(storeRec{addr: op.Addr, size: op.Size, op: g.opCount})
+	return s
 }
 
-func (g *Generator) genBranch(op *Op) {
-	site := g.rng.Intn(len(g.branchTaken))
+func (g *Generator) genBranch(s dataset.RNG, op *Op) dataset.RNG {
+	s, site := g.sites.draw(s)
 	op.Kind = Branch
 	op.PC = g.branchPCs[site]
-	op.Taken = g.rng.Below(g.branchTaken[site])
+	s, op.Taken = below(s, g.branchTaken[site])
+	return s
 }

@@ -42,6 +42,7 @@ func TestPhaseValidate(t *testing.T) {
 		{"negative footprint", func(p *Phase) { p.DataFootprint = -5 }},
 		{"bad fp assist", func(p *Phase) { p.FpAssistRate = 1.5 }},
 		{"negative ILP", func(p *Phase) { p.ILP = -2 }},
+		{"page spread overflows", func(p *Phase) { p.PageSpread = math.MaxInt/pageSize + 1 }},
 	}
 	for _, c := range cases {
 		p := basePhase()
@@ -359,7 +360,9 @@ func TestNextPCMatchesModulo(t *testing.T) {
 		jumps := 0
 		for i := 0; i < 200000; i++ {
 			prev := g.pc
-			got, want := g.nextPC(), ref.nextPCModulo()
+			var got uint64
+			*g.rng, got = g.nextPC(*g.rng)
+			want := ref.nextPCModulo()
 			if got != want {
 				t.Fatalf("footprint %d, step %d from pc %d: nextPC %#x, modulo %#x", fp, i, prev, got, want)
 			}

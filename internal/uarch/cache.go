@@ -106,11 +106,19 @@ func (c *Cache) access(addr uint64) bool {
 	base := int(line&c.setMask) * c.ways
 	keys := c.keys[base : base+c.ways : base+c.ways]
 	used := c.used[base : base+c.ways : base+c.ways]
+	// Scan every way and select the match without branching on it: which
+	// way hits is close to random, so an early return was a mispredicted
+	// branch on most lookups. A line is inserted only on a miss, so a key
+	// sits in at most one way of its set and the select finds that way.
+	hit := -1
 	for i, k := range keys {
 		if k == key {
-			used[i] = c.tick
-			return true
+			hit = i
 		}
+	}
+	if hit >= 0 {
+		used[hit] = c.tick
+		return true
 	}
 	// Miss: the way with the minimum stamp is an empty way (stamp 0) if
 	// the set has one, else the unique least recently used.

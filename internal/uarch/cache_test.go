@@ -75,7 +75,11 @@ type geometry struct {
 	shift            uint
 }
 
-func defaultGeometries() []geometry {
+// testGeometries returns the default L1D, L2, DTLB and ITLB shapes and,
+// beside them, the 1-, 2- and 3-way shapes where the way search and the
+// victim select meet their edge cases: one way (the match and the victim
+// are way 0), two, and an associativity that is not a power of two.
+func testGeometries() []geometry {
 	cfg := DefaultConfig()
 	page := uint(bits.TrailingZeros(uint(cfg.PageBytes)))
 	return []geometry{
@@ -83,6 +87,10 @@ func defaultGeometries() []geometry {
 		{"L2", cfg.L2Size, cfg.L2Ways, cfg.LineBytes, 0},
 		{"DTLB", cfg.DTLBEntries, cfg.DTLBWays, 1, page},
 		{"ITLB", cfg.ITLBEntries, cfg.ITLBWays, 1, page},
+		{"1-way", 16 << 10, 1, cfg.LineBytes, 0},
+		{"2-way", 16 << 10, 2, cfg.LineBytes, 0},
+		{"3-way", 64 * 3 * 64, 3, cfg.LineBytes, 0},
+		{"3-way TLB", 16 * 3, 3, 1, page},
 	}
 }
 
@@ -130,8 +138,8 @@ func addrStreams(t *testing.T) map[string][]uint64 {
 	streams["random/full"] = full
 	for _, stride := range []uint64{8, 64, 4 << 10, 128 << 10, 256 << 10, 1 << 20} {
 		// Cycling windows below, at and just above the associativities
-		// (4, 8 and 16 ways), and one far beyond every structure.
-		for _, window := range []int{3, 8, 9, 16, 17, n / 4} {
+		// (1, 2, 3, 4, 8 and 16 ways), and one far beyond every structure.
+		for _, window := range []int{2, 3, 4, 8, 9, 16, 17, n / 4} {
 			s := make([]uint64, n/4)
 			for i := range s {
 				s[i] = 0x40_0000 + uint64(i%window)*stride
@@ -201,12 +209,13 @@ func addrStreams(t *testing.T) map[string][]uint64 {
 
 // TestCacheMatchesReference replays every stream through Cache (TLB for
 // the TLB geometries) and the reference at the default L1D, L2, DTLB and
-// ITLB geometries, resetting both halfway and then repeating the last
-// address before the Reset (which must miss, whatever the memo held), and
-// requires the same hit or miss on every access.
+// ITLB geometries and the 1-, 2- and 3-way ones, resetting both halfway
+// and then repeating the last address before the Reset (which must miss,
+// whatever the memo held), and requires the same hit or miss on every
+// access.
 func TestCacheMatchesReference(t *testing.T) {
 	streams := addrStreams(t)
-	for _, g := range defaultGeometries() {
+	for _, g := range testGeometries() {
 		for name, s := range streams {
 			access, reset := g.build(t)
 			ref := newRefCache(g.size, g.ways, g.line)
