@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -101,8 +102,7 @@ func BenchmarkTable2CPU2006Distribution(b *testing.B) {
 	// Headline: share of the biggest leaf population in the Suite row
 	// (the paper's LM1 carries 45.28%).
 	suiteRow := profiles[len(profiles)-2]
-	_, share := suiteRow.Dominant()
-	b.ReportMetric(100*share, "top-LM-%")
+	b.ReportMetric(100*slices.Max(suiteRow.Shares), "top-LM-%")
 }
 
 // BenchmarkTable3Similarity regenerates Table III: the full pairwise
@@ -379,29 +379,8 @@ func benchBuildWorkers(b *testing.B, workers int) {
 func BenchmarkBuildSerial(b *testing.B)   { benchBuildWorkers(b, 1) }
 func BenchmarkBuildParallel(b *testing.B) { benchBuildWorkers(b, 0) }
 
-// benchPredictDatasetWorkers times batch prediction over the full
-// CPU2006 dataset at a fixed worker count.
-func benchPredictDatasetWorkers(b *testing.B, workers int) {
-	s := benchStudy(b)
-	tree := *s.CPUTree // shallow copy so the worker knob doesn't leak to other benchmarks
-	tree.Opts.Workers = workers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		preds, err := tree.PredictDatasetCheckedContext(context.Background(), s.CPU)
-		if err != nil || len(preds) != s.CPU.Len() {
-			b.Fatalf("short prediction vector (err %v)", err)
-		}
-	}
-}
-
-func BenchmarkPredictDatasetSerial(b *testing.B)   { benchPredictDatasetWorkers(b, 1) }
-func BenchmarkPredictDatasetParallel(b *testing.B) { benchPredictDatasetWorkers(b, 0) }
-
 // benchPredictDatasetCompiledWorkers times the compiled batch scorer over
-// the same dataset at a fixed worker count. The speedup of these over the
-// interpreted pair above is the tentpole's headline number (identical
-// predictions — see TestCompiledMatchesInterpretedOnSuites).
+// the full CPU2006 dataset at a fixed worker count.
 func benchPredictDatasetCompiledWorkers(b *testing.B, workers int) {
 	s := benchStudy(b)
 	ctree, err := s.CPUTree.Compile()
@@ -465,9 +444,9 @@ func evalOn(b *testing.B, tree *mtree.Tree, s *Study) evalResult {
 }
 
 func computeMetrics(tree *mtree.Tree, test *dataset.Dataset) (evalResult, error) {
-	preds, err := tree.PredictDatasetCheckedContext(context.Background(), test)
-	if err != nil {
-		return evalResult{}, err
+	preds := make([]float64, test.Len())
+	for i, s := range test.Samples {
+		preds[i] = tree.Predict(s.X)
 	}
 	rep, err := metrics.Compute(preds, test.Ys())
 	if err != nil {
@@ -522,7 +501,7 @@ func BenchmarkAblationContention(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.ReportMetric(sum.Mean, "CPI")
-					j := d.Schema.AttrIndex("L2Miss")
+					j := slices.Index(d.Schema.Attributes, "L2Miss")
 					var l2 float64
 					for _, smp := range d.Samples {
 						l2 += smp.X[j]

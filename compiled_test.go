@@ -84,10 +84,23 @@ func TestCompiledMatchesInterpretedOnSuites(t *testing.T) {
 	}
 }
 
+// rowClassifier classifies through the pointer tree one row at a time:
+// the reference for the compiled batch classifier.
+type rowClassifier struct{ *mtree.Tree }
+
+func (r rowClassifier) ClassifyLeavesCheckedContext(_ context.Context, d *dataset.Dataset) ([]int, error) {
+	out := make([]int, d.Len())
+	for i, s := range d.Samples {
+		out[i] = r.Classify(s.X).LeafID
+	}
+	return out, nil
+}
+
 // TestCompiledProfilesMatchInterpreted checks the characterization layer
 // end to end: profiles computed through the compiled classifier must be
 // identical (same leaf tallies, not merely close) to those computed
-// through the interpreted tree, since classification is exact.
+// through the interpreted tree's per-row Classify, since classification
+// is exact.
 func TestCompiledProfilesMatchInterpreted(t *testing.T) {
 	gen := suites.DefaultGenOptions()
 	gen.SamplesPerBenchmark = 60
@@ -107,7 +120,7 @@ func TestCompiledProfilesMatchInterpreted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interp, err := characterize.SuiteProfiles(tree, d)
+	interp, err := characterize.SuiteProfiles(rowClassifier{tree}, d)
 	if err != nil {
 		t.Fatal(err)
 	}

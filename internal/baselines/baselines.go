@@ -64,9 +64,6 @@ func (l *Linear) Predict(x []float64) float64 { return l.model.Predict(x) }
 // Name implements Regressor.
 func (l *Linear) Name() string { return "global linear regression" }
 
-// Model exposes the underlying equation for inspection.
-func (l *Linear) Model() *linreg.Model { return l.model }
-
 // ------------------------------------------------------------------- kNN
 
 // KNN is a k-nearest-neighbour regressor over standardized attributes.
@@ -409,6 +406,3 @@ func (b *Bagged) Predict(x []float64) float64 {
 
 // Name implements Regressor.
 func (b *Bagged) Name() string { return b.name }
-
-// Size returns the number of ensemble members.
-func (b *Bagged) Size() int { return len(b.members) }

@@ -58,7 +58,7 @@ func TestLinearOnLinearData(t *testing.T) {
 	if got := mae(m, test); got > 0.02 {
 		t.Errorf("linear MAE on linear data = %v", got)
 	}
-	if m.Name() == "" || m.Model() == nil {
+	if m.Name() == "" {
 		t.Error("metadata missing")
 	}
 }
@@ -236,8 +236,8 @@ func TestBaggedReducesVariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bag.Size() != 15 {
-		t.Errorf("Size = %d", bag.Size())
+	if len(bag.members) != 15 {
+		t.Errorf("members = %d, want 15", len(bag.members))
 	}
 	if mae(bag, test) >= mae(single, test) {
 		t.Errorf("bagging did not help: bag %v vs single %v", mae(bag, test), mae(single, test))

@@ -18,11 +18,8 @@ import (
 )
 
 // Classifier is the model-side dependency of profiling: a trained M5'
-// tree that can batch-classify a dataset into its leaf models. Both the
-// pointer form (*mtree.Tree) and the compiled batch form
-// (*mtree.CompiledTree) satisfy it; profiling classifies every sample of
-// a suite, so callers holding a trained tree should compile it once and
-// pass the compiled form.
+// tree that can batch-classify a dataset into its leaf models. The
+// compiled batch form of a tree (*mtree.CompiledTree) satisfies it.
 type Classifier interface {
 	NumLeaves() int
 	// ClassifyLeavesCheckedContext returns the 1-based LeafID of every
@@ -39,25 +36,6 @@ type Profile struct {
 	Shares  []float64 // Shares[i] is the fraction of samples in leaf LM(i+1)
 	N       int       // samples profiled
 	MeanCPI float64   // mean response of those samples
-}
-
-// Share returns the fraction of samples in the 1-based leaf id.
-func (p *Profile) Share(leafID int) float64 {
-	if leafID < 1 || leafID > len(p.Shares) {
-		return 0
-	}
-	return p.Shares[leafID-1]
-}
-
-// Dominant returns the leaf id holding the largest share, and that share.
-func (p *Profile) Dominant() (leafID int, share float64) {
-	for i, s := range p.Shares {
-		if s > share {
-			share = s
-			leafID = i + 1
-		}
-	}
-	return leafID, share
 }
 
 // ErrEmpty is returned when profiling an empty sample set.

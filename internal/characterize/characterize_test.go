@@ -2,6 +2,7 @@ package characterize
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,7 +13,7 @@ import (
 
 // buildFixture creates a dataset with two labeled behaviour regimes and a
 // tree that separates them, giving predictable classification results.
-func buildFixture(t *testing.T) (*mtree.Tree, *dataset.Dataset) {
+func buildFixture(t *testing.T) (*mtree.CompiledTree, *dataset.Dataset) {
 	t.Helper()
 	schema := &dataset.Schema{Response: "CPI", Attributes: []string{"a", "b"}}
 	d := dataset.New(schema)
@@ -41,7 +42,11 @@ func buildFixture(t *testing.T) (*mtree.Tree, *dataset.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree, d
+	ctree, err := tree.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctree, d
 }
 
 func TestProfileOfSeparatesRegimes(t *testing.T) {
@@ -56,8 +61,8 @@ func TestProfileOfSeparatesRegimes(t *testing.T) {
 	}
 	// Each pure benchmark should be dominated by one leaf population, and
 	// they should not share it.
-	lLeaf, lShare := low.Dominant()
-	hLeaf, hShare := high.Dominant()
+	lShare, hShare := slices.Max(low.Shares), slices.Max(high.Shares)
+	lLeaf, hLeaf := slices.Index(low.Shares, lShare), slices.Index(high.Shares, hShare)
 	if lShare < 0.5 || hShare < 0.5 {
 		t.Errorf("dominant shares too small: low %.2f high %.2f", lShare, hShare)
 	}
@@ -81,17 +86,6 @@ func TestProfileOfEmpty(t *testing.T) {
 	tree, d := buildFixture(t)
 	if _, err := ProfileOf(tree, d.FilterLabel("missing"), "x"); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestProfileShareBounds(t *testing.T) {
-	tree, d := buildFixture(t)
-	p, _ := ProfileOf(tree, d, "all")
-	if p.Share(0) != 0 || p.Share(len(p.Shares)+1) != 0 {
-		t.Error("out-of-range Share should be 0")
-	}
-	if p.Share(1) != p.Shares[0] {
-		t.Error("Share(1) mismatch")
 	}
 }
 

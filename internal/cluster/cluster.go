@@ -1,9 +1,9 @@
 // Package cluster implements the clustering half of the benchmark
 // subsetting methodology the paper's related-work section surveys
-// (Section II, refs [11]-[14]): k-means (with k-means++ seeding) and
-// agglomerative hierarchical clustering over benchmark feature vectors,
-// silhouette scoring for cluster-count selection, and medoid extraction
-// for representative-subset construction.
+// (Section II, refs [11]-[14]): agglomerative hierarchical clustering over
+// benchmark feature vectors, silhouette scoring for cluster-count
+// selection, and medoid extraction for representative-subset
+// construction.
 //
 // Combined with internal/pca this reproduces the "PCA + clustering"
 // subsetting pipeline the paper positions its model-tree approach
@@ -13,34 +13,21 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
-
-	"specchar/internal/dataset"
 )
 
 // ErrBadK is returned when k is out of range for the point count.
 var ErrBadK = errors.New("cluster: k must satisfy 1 <= k <= len(points)")
 
 // Assignment is the result of a clustering: cluster index per point plus
-// the cluster centers (centroids for k-means, medoid points for
-// hierarchical clustering).
+// the cluster centers (the medoid point of each cluster).
 type Assignment struct {
 	Labels  []int       // Labels[i] = cluster of point i, in [0, K)
 	Centers [][]float64 // one center per cluster
 	K       int
 	// Inertia is the total squared distance of points to their centers.
 	Inertia float64
-}
-
-// ClusterSizes returns the population of each cluster.
-func (a *Assignment) ClusterSizes() []int {
-	out := make([]int, a.K)
-	for _, l := range a.Labels {
-		out[l]++
-	}
-	return out
 }
 
 // Members returns the indices of points in the given cluster.
@@ -61,117 +48,6 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// KMeans clusters the points into k groups, seeding with k-means++ from
-// the given RNG and iterating Lloyd's algorithm to convergence (or 100
-// rounds). Deterministic for a fixed seed.
-func KMeans(points [][]float64, k int, rng *dataset.RNG) (*Assignment, error) {
-	n := len(points)
-	if k < 1 || k > n {
-		return nil, ErrBadK
-	}
-	if n == 0 {
-		return nil, ErrBadK
-	}
-	dim := len(points[0])
-	for _, p := range points {
-		if len(p) != dim {
-			return nil, fmt.Errorf("cluster: ragged points (%d vs %d dims)", len(p), dim)
-		}
-	}
-
-	// k-means++ seeding.
-	centers := make([][]float64, 0, k)
-	first := rng.Intn(n)
-	centers = append(centers, append([]float64(nil), points[first]...))
-	minD := make([]float64, n)
-	for i := range minD {
-		minD[i] = sqDist(points[i], centers[0])
-	}
-	for len(centers) < k {
-		var total float64
-		for _, d := range minD {
-			total += d
-		}
-		var next int
-		if total <= 0 {
-			// All remaining points coincide with a center: pick any.
-			next = rng.Intn(n)
-		} else {
-			target := rng.Float64() * total
-			var cum float64
-			for i, d := range minD {
-				cum += d
-				if cum >= target {
-					next = i
-					break
-				}
-			}
-		}
-		centers = append(centers, append([]float64(nil), points[next]...))
-		for i := range minD {
-			if d := sqDist(points[i], centers[len(centers)-1]); d < minD[i] {
-				minD[i] = d
-			}
-		}
-	}
-
-	labels := make([]int, n)
-	for iter := 0; iter < 100; iter++ {
-		changed := false
-		for i, p := range points {
-			best, bestD := 0, math.Inf(1)
-			for c, ctr := range centers {
-				if d := sqDist(p, ctr); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if labels[i] != best {
-				labels[i] = best
-				changed = true
-			}
-		}
-		// Recompute centroids.
-		counts := make([]int, k)
-		sums := make([][]float64, k)
-		for c := range sums {
-			sums[c] = make([]float64, dim)
-		}
-		for i, p := range points {
-			counts[labels[i]]++
-			for j, v := range p {
-				sums[labels[i]][j] += v
-			}
-		}
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				// Empty cluster: reseed on the point farthest from its
-				// center, a standard Lloyd's repair.
-				far, farD := 0, -1.0
-				for i, p := range points {
-					if d := sqDist(p, centers[labels[i]]); d > farD {
-						far, farD = i, d
-					}
-				}
-				copy(centers[c], points[far])
-				labels[far] = c
-				changed = true
-				continue
-			}
-			for j := 0; j < dim; j++ {
-				centers[c][j] = sums[c][j] / float64(counts[c])
-			}
-		}
-		if !changed && iter > 0 {
-			break
-		}
-	}
-	a := &Assignment{Labels: labels, Centers: centers, K: k}
-	for i, p := range points {
-		a.Inertia += sqDist(p, centers[labels[i]])
-	}
-	return a, nil
 }
 
 // Linkage selects the inter-cluster distance rule for hierarchical
@@ -372,30 +248,4 @@ func Silhouette(points [][]float64, a *Assignment) (float64, error) {
 		return 0, errors.New("cluster: silhouette undefined (all singletons)")
 	}
 	return total / float64(counted), nil
-}
-
-// BestK sweeps k over [2, maxK] with the given clustering function and
-// returns the k maximizing the silhouette score.
-func BestK(points [][]float64, maxK int, clusterer func(k int) (*Assignment, error)) (bestK int, bestScore float64, err error) {
-	if maxK > len(points) {
-		maxK = len(points)
-	}
-	bestK, bestScore = 2, math.Inf(-1)
-	for k := 2; k <= maxK; k++ {
-		a, err := clusterer(k)
-		if err != nil {
-			return 0, 0, err
-		}
-		s, err := Silhouette(points, a)
-		if err != nil {
-			continue
-		}
-		if s > bestScore {
-			bestK, bestScore = k, s
-		}
-	}
-	if math.IsInf(bestScore, -1) {
-		return 0, 0, errors.New("cluster: no valid k found")
-	}
-	return bestK, bestScore, nil
 }

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"specchar/internal/dataset"
 )
@@ -46,92 +44,6 @@ func agreesWithTruth(labels, truth []int) bool {
 		seen[v] = true
 	}
 	return true
-}
-
-func TestKMeansRecoversBlobs(t *testing.T) {
-	points, truth := threeBlobs(40, 1)
-	a, err := KMeans(points, 3, dataset.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !agreesWithTruth(a.Labels, truth) {
-		t.Error("k-means failed to recover three separated blobs")
-	}
-	sizes := a.ClusterSizes()
-	for c, s := range sizes {
-		if s != 40 {
-			t.Errorf("cluster %d size = %d, want 40", c, s)
-		}
-	}
-	if a.Inertia <= 0 {
-		t.Errorf("inertia = %v", a.Inertia)
-	}
-}
-
-func TestKMeansErrors(t *testing.T) {
-	points, _ := threeBlobs(5, 2)
-	if _, err := KMeans(points, 0, dataset.NewRNG(1)); err != ErrBadK {
-		t.Errorf("k=0 err = %v", err)
-	}
-	if _, err := KMeans(points, 100, dataset.NewRNG(1)); err != ErrBadK {
-		t.Errorf("k too large err = %v", err)
-	}
-	if _, err := KMeans(nil, 1, dataset.NewRNG(1)); err != ErrBadK {
-		t.Errorf("empty err = %v", err)
-	}
-	if _, err := KMeans([][]float64{{1, 2}, {1}}, 1, dataset.NewRNG(1)); err == nil {
-		t.Error("ragged points should error")
-	}
-}
-
-func TestKMeansK1(t *testing.T) {
-	points, _ := threeBlobs(10, 3)
-	a, err := KMeans(points, 1, dataset.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range a.Labels {
-		if l != 0 {
-			t.Fatal("k=1 produced multiple labels")
-		}
-	}
-	// Center is the grand mean.
-	var mx, my float64
-	for _, p := range points {
-		mx += p[0]
-		my += p[1]
-	}
-	mx /= float64(len(points))
-	my /= float64(len(points))
-	if math.Abs(a.Centers[0][0]-mx) > 1e-9 || math.Abs(a.Centers[0][1]-my) > 1e-9 {
-		t.Errorf("k=1 center %v, want (%v, %v)", a.Centers[0], mx, my)
-	}
-}
-
-func TestKMeansDeterministic(t *testing.T) {
-	points, _ := threeBlobs(30, 4)
-	a1, _ := KMeans(points, 3, dataset.NewRNG(9))
-	a2, _ := KMeans(points, 3, dataset.NewRNG(9))
-	for i := range a1.Labels {
-		if a1.Labels[i] != a2.Labels[i] {
-			t.Fatal("same seed produced different clusterings")
-		}
-	}
-}
-
-func TestKMeansDuplicatePoints(t *testing.T) {
-	// All points identical: must terminate, one non-empty assignment.
-	points := make([][]float64, 10)
-	for i := range points {
-		points[i] = []float64{1, 1}
-	}
-	a, err := KMeans(points, 2, dataset.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Labels) != 10 {
-		t.Fatal("lost points")
-	}
 }
 
 func TestHierarchicalRecoversBlobs(t *testing.T) {
@@ -190,7 +102,7 @@ func TestHierarchicalKEqualsN(t *testing.T) {
 
 func TestMedoids(t *testing.T) {
 	points, _ := threeBlobs(20, 9)
-	a, err := KMeans(points, 3, dataset.NewRNG(11))
+	a, err := Hierarchical(points, 3, CompleteLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +128,7 @@ func TestMedoids(t *testing.T) {
 
 func TestSilhouette(t *testing.T) {
 	points, _ := threeBlobs(20, 10)
-	good, _ := KMeans(points, 3, dataset.NewRNG(12))
+	good, _ := Hierarchical(points, 3, CompleteLinkage)
 	s3, err := Silhouette(points, good)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +137,7 @@ func TestSilhouette(t *testing.T) {
 		t.Errorf("silhouette of separated blobs = %v, want high", s3)
 	}
 	// Deliberately wrong k has a lower score.
-	bad, _ := KMeans(points, 2, dataset.NewRNG(12))
+	bad, _ := Hierarchical(points, 2, CompleteLinkage)
 	s2, err := Silhouette(points, bad)
 	if err != nil {
 		t.Fatal(err)
@@ -234,52 +146,8 @@ func TestSilhouette(t *testing.T) {
 		t.Errorf("k=2 silhouette %v >= k=3 silhouette %v", s2, s3)
 	}
 	// k=1 is an error.
-	one, _ := KMeans(points, 1, dataset.NewRNG(12))
+	one, _ := Hierarchical(points, 1, CompleteLinkage)
 	if _, err := Silhouette(points, one); err == nil {
 		t.Error("silhouette with k=1 should error")
-	}
-}
-
-func TestBestK(t *testing.T) {
-	points, _ := threeBlobs(20, 13)
-	k, score, err := BestK(points, 6, func(k int) (*Assignment, error) {
-		return KMeans(points, k, dataset.NewRNG(14))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 3 {
-		t.Errorf("BestK = %d (score %v), want 3", k, score)
-	}
-	// maxK clamps to n.
-	tiny := points[:3]
-	if _, _, err := BestK(tiny, 100, func(k int) (*Assignment, error) {
-		return Hierarchical(tiny, k, CompleteLinkage)
-	}); err != nil {
-		t.Errorf("BestK on tiny set: %v", err)
-	}
-}
-
-// Property: k-means assigns every point to its nearest center.
-func TestKMeansNearestCenterProperty(t *testing.T) {
-	f := func(seed uint64, k8 uint8) bool {
-		points, _ := threeBlobs(15, seed)
-		k := int(k8)%4 + 1
-		a, err := KMeans(points, k, dataset.NewRNG(seed^0xABCD))
-		if err != nil {
-			return false
-		}
-		for i, p := range points {
-			own := sqDist(p, a.Centers[a.Labels[i]])
-			for _, ctr := range a.Centers {
-				if sqDist(p, ctr) < own-1e-9 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }

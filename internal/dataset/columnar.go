@@ -87,19 +87,10 @@ type Columnar struct {
 // Len returns the number of samples.
 func (c *Columnar) Len() int { return c.n }
 
-// Ys returns the response column. It aliases the columnar storage.
-func (c *Columnar) Ys() []float64 { return c.y }
-
 // Columns returns the predictor columns, the shape the compiled tree's
 // PredictColumnsCheckedContext consumes. The slices alias the columnar
 // storage.
 func (c *Columnar) Columns() [][]float64 { return c.cols }
-
-// Label returns the label of sample i.
-func (c *Columnar) Label(i int) string { return c.labels[c.codes[i]] }
-
-// Mapped reports whether the columns alias a file mapping.
-func (c *Columnar) Mapped() bool { return c.mapping != nil }
 
 // Close releases the file mapping, if any. The columns are invalid
 // afterwards. Safe on heap-backed columnars and safe to call twice.

@@ -68,13 +68,10 @@ func TestColumnarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Mapped() {
+	if c.mapping != nil {
 		t.Fatal("reader path must not claim a mapping")
 	}
 	sameDataset(t, d, c.Dataset())
-	if c.Label(0) != "mcf" || c.Label(3) != "lbm" {
-		t.Fatalf("labels decoded wrong: %q, %q", c.Label(0), c.Label(3))
-	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,7 @@ func TestOpenColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameDataset(t, d, c.Dataset())
-	mapped := c.Mapped()
+	mapped := c.mapping != nil
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -27,16 +27,6 @@ type Schema struct {
 // NumAttrs returns the number of predictor columns.
 func (s *Schema) NumAttrs() int { return len(s.Attributes) }
 
-// AttrIndex returns the column index of the named attribute, or -1.
-func (s *Schema) AttrIndex(name string) int {
-	for i, a := range s.Attributes {
-		if a == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Clone returns a deep copy of the schema.
 func (s *Schema) Clone() *Schema {
 	return &Schema{
@@ -232,20 +222,6 @@ func (d *Dataset) StratifiedSplit(rng *RNG, fraction float64) (train, test *Data
 		test.Samples = append(test.Samples, te.Samples...)
 	}
 	return train, test
-}
-
-// RandomSubset returns a dataset of n samples drawn without replacement.
-// If n exceeds the dataset size the whole (shuffled) dataset is returned.
-func (d *Dataset) RandomSubset(rng *RNG, n int) *Dataset {
-	if n > len(d.Samples) {
-		n = len(d.Samples)
-	}
-	idx := rng.Perm(len(d.Samples))
-	out := New(d.Schema)
-	for _, j := range idx[:n] {
-		out.Samples = append(out.Samples, d.Samples[j])
-	}
-	return out
 }
 
 // AttrSummaries returns per-attribute descriptive statistics, in schema

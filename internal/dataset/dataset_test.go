@@ -29,19 +29,6 @@ func testDataset(t *testing.T, n int) *Dataset {
 	return d
 }
 
-func TestSchemaAttrIndex(t *testing.T) {
-	s := testSchema()
-	if s.AttrIndex("B") != 1 {
-		t.Errorf("AttrIndex(B) = %d", s.AttrIndex("B"))
-	}
-	if s.AttrIndex("missing") != -1 {
-		t.Errorf("AttrIndex(missing) = %d", s.AttrIndex("missing"))
-	}
-	if s.NumAttrs() != 3 {
-		t.Errorf("NumAttrs = %d", s.NumAttrs())
-	}
-}
-
 func TestSchemaClone(t *testing.T) {
 	s := testSchema()
 	c := s.Clone()
@@ -198,19 +185,6 @@ func TestSplitPartitionProperty(t *testing.T) {
 	}
 }
 
-func TestRandomSubset(t *testing.T) {
-	d := testDataset(t, 50)
-	sub := d.RandomSubset(NewRNG(11), 10)
-	if sub.Len() != 10 {
-		t.Errorf("subset len = %d", sub.Len())
-	}
-	// Oversized request returns everything.
-	all := d.RandomSubset(NewRNG(11), 500)
-	if all.Len() != 50 {
-		t.Errorf("oversized subset len = %d", all.Len())
-	}
-}
-
 func TestSummary(t *testing.T) {
 	d := New(testSchema())
 	_ = d.Append(Sample{X: []float64{0, 0, 0}, Y: 1})
@@ -303,22 +277,6 @@ func TestRNGLogNormalPositive(t *testing.T) {
 		if v := r.LogNormal(0, 1); v <= 0 {
 			t.Fatalf("LogNormal produced non-positive %v", v)
 		}
-	}
-}
-
-func TestRNGExponentialMean(t *testing.T) {
-	r := NewRNG(6)
-	n := 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.Exponential(3)
-		if v < 0 {
-			t.Fatalf("Exponential produced negative %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / float64(n); math.Abs(mean-3) > 0.1 {
-		t.Errorf("Exponential mean = %v, want ~3", mean)
 	}
 }
 

@@ -44,14 +44,6 @@ func (m *Model) Predict(x []float64) float64 {
 // NumTerms returns the number of non-intercept terms.
 func (m *Model) NumTerms() int { return len(m.Terms) }
 
-// Clone returns a deep copy of the model.
-func (m *Model) Clone() *Model {
-	c := &Model{Intercept: m.Intercept}
-	c.Coef = append([]float64(nil), m.Coef...)
-	c.Terms = append([]int(nil), m.Terms...)
-	return c
-}
-
 // Equation renders the model in the paper's style, e.g.
 // "CPI = 0.53 + 4.73*L1DMiss - 0.198*Store", using names to label terms.
 func (m *Model) Equation(response string, names []string) string {
@@ -357,16 +349,6 @@ func solveQR(a, b []float64, n, p int, sc *fitScratch) (beta []float64, ok []boo
 	return beta, ok
 }
 
-// RSS returns the residual sum of squares of the model over the rows.
-func RSS(m *Model, xs [][]float64, y []float64) float64 {
-	var s float64
-	for i, row := range xs {
-		r := y[i] - m.Predict(row)
-		s += r * r
-	}
-	return s
-}
-
 // MAE returns the mean absolute residual of the model over the rows.
 func MAE(m *Model, xs [][]float64, y []float64) float64 {
 	if len(xs) == 0 {
@@ -605,26 +587,4 @@ func (e *simplifyEngine) fitDropped(d int) *Model {
 		jj++
 	}
 	return m
-}
-
-// RSquared returns the coefficient of determination of the model over the
-// rows: 1 - RSS/TSS. A constant response yields 0 by convention.
-func RSquared(m *Model, xs [][]float64, y []float64) float64 {
-	if len(y) == 0 {
-		return 0
-	}
-	var mean float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(len(y))
-	var tss float64
-	for _, v := range y {
-		d := v - mean
-		tss += d * d
-	}
-	if tss == 0 {
-		return 0
-	}
-	return 1 - RSS(m, xs, y)/tss
 }

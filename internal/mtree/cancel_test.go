@@ -90,9 +90,9 @@ func TestBuildContextDeadline(t *testing.T) {
 }
 
 // TestPredictDatasetContextCancel runs every context-taking batch entry
-// point, of the pointer tree and of its compiled form, under a canceled
-// context at every worker count: each must return context.Canceled
-// wrapped in its own diagnostic and join all of its workers.
+// point of the compiled tree under a canceled context at every worker
+// count: each must return context.Canceled wrapped in its own diagnostic
+// and join all of its workers.
 func TestPredictDatasetContextCancel(t *testing.T) {
 	d := piecewiseDataset(5000, 4, 0.05)
 	tree, err := Build(d, optsWithWorkers(2))
@@ -108,14 +108,11 @@ func TestPredictDatasetContextCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		baseline := runtime.NumGoroutine()
-		tree.Opts.Workers = w
 		cw := ctree.WithWorkers(w)
 		for _, tc := range []struct {
 			name string
 			err  error
 		}{
-			{"tree PredictDatasetCheckedContext", errOf(tree.PredictDatasetCheckedContext(ctx, d))},
-			{"tree ClassifyLeavesCheckedContext", errOf(tree.ClassifyLeavesCheckedContext(ctx, d))},
 			{"compiled PredictDatasetCheckedContext", errOf(cw.PredictDatasetCheckedContext(ctx, d))},
 			{"compiled PredictColumnsCheckedContext", errOf(cw.PredictColumnsCheckedContext(ctx, cols, d.Len()))},
 			{"compiled ClassifyLeavesCheckedContext", errOf(cw.ClassifyLeavesCheckedContext(ctx, d))},
@@ -137,13 +134,16 @@ func TestPredictDatasetContextMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctree, err := tree.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]float64, d.Len())
 	for i, s := range d.Samples {
-		want[i] = tree.Predict(s.X)
+		want[i] = ctree.Predict(s.X)
 	}
 	for _, w := range workerCounts {
-		tree.Opts.Workers = w
-		got, err := tree.PredictDatasetCheckedContext(context.Background(), d)
+		got, err := ctree.WithWorkers(w).PredictDatasetCheckedContext(context.Background(), d)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -213,23 +213,10 @@ func TestContextVariantsBackgroundEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := must(tree.PredictDatasetCheckedContext(context.Background(), d))
-	p2 := must(tree2.PredictDatasetCheckedContext(context.Background(), d))
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("BuildContext and Build disagree at sample %d: %v vs %v", i, p1[i], p2[i])
+	for i, s := range d.Samples {
+		if p1, p2 := tree.Predict(s.X), tree2.Predict(s.X); p1 != p2 {
+			t.Fatalf("BuildContext and Build disagree at sample %d: %v vs %v", i, p1, p2)
 		}
-	}
-	cv1, err := CrossValidateContext(context.Background(), d, 4, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cv2, err := CrossValidate(d, 4, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cv1.MeanMAE != cv2.MeanMAE || cv1.MeanRMSE != cv2.MeanRMSE {
-		t.Errorf("CV disagree: %v vs %v", cv1, cv2)
 	}
 
 	// Appending a non-finite sample in memory (bypassing Append's

@@ -251,24 +251,6 @@ func (c *CompiledTree) NumNodes() int { return len(c.attrs) + len(c.intercepts) 
 // Smoothed reports whether smoothing was folded into the leaf models.
 func (c *CompiledTree) Smoothed() bool { return c.smooth }
 
-// LeafModel returns a copy of the pre-composed linear model of the 1-based
-// leaf id (zero coefficients dropped), or nil for an invalid id — the
-// inspectable per-leaf equivalent of the root-path smoothing blend.
-func (c *CompiledTree) LeafModel(leafID int) *linreg.Model {
-	if leafID < 1 || leafID > len(c.intercepts) {
-		return nil
-	}
-	li := leafID - 1
-	m := &linreg.Model{Intercept: c.intercepts[li]}
-	for j, cf := range c.coefs[li*c.width : (li+1)*c.width] {
-		if cf != 0 {
-			m.Coef = append(m.Coef, cf)
-			m.Terms = append(m.Terms, j)
-		}
-	}
-	return m
-}
-
 // leafIndex runs the flat traversal to the 0-based leaf index. The sample
 // must be at least width attributes wide.
 func (c *CompiledTree) leafIndex(x []float64) int {

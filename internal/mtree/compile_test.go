@@ -141,34 +141,6 @@ func TestCompiledProperty(t *testing.T) {
 	}
 }
 
-// TestCompiledLeafModels checks the inspectable pre-composed models: for
-// every sample, evaluating the LeafModel of the sample's leaf must equal
-// the compiled prediction.
-func TestCompiledLeafModels(t *testing.T) {
-	d := piecewiseDataset(1500, 23, 0.1)
-	tree, err := Build(d, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctree, err := tree.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctree.LeafModel(0) != nil || ctree.LeafModel(ctree.NumLeaves()+1) != nil {
-		t.Error("LeafModel out of range should return nil")
-	}
-	for _, s := range d.Samples {
-		id := ctree.ClassifyLeaf(s.X)
-		m := ctree.LeafModel(id)
-		if m == nil {
-			t.Fatalf("LeafModel(%d) = nil", id)
-		}
-		if got, want := m.Predict(s.X), ctree.Predict(s.X); !closeEnough(got, want) {
-			t.Fatalf("LeafModel(%d).Predict = %v, compiled Predict = %v", id, got, want)
-		}
-	}
-}
-
 func TestCompiledCheckedErrors(t *testing.T) {
 	d := piecewiseDataset(600, 31, 0.1)
 	tree, err := Build(d, DefaultOptions())
@@ -242,10 +214,10 @@ func TestEvaluateSplitsParallelDeterministic(t *testing.T) {
 	d := piecewiseDataset(2500, 41, 0.3)
 	opts := DefaultOptions()
 	opts.Workers = 1
-	serial := EvaluateSplits(d, opts)
+	serial := must(EvaluateSplitsContext(context.Background(), d, opts))
 	for _, workers := range []int{0, 2, 8} {
 		opts.Workers = workers
-		got := EvaluateSplits(d, opts)
+		got := must(EvaluateSplitsContext(context.Background(), d, opts))
 		if len(got) != len(serial) {
 			t.Fatalf("workers=%d: %d candidates, serial %d", workers, len(got), len(serial))
 		}

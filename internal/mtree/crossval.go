@@ -28,18 +28,14 @@ type CVResult struct {
 	StdErrMAE float64
 }
 
-// CrossValidate performs k-fold cross-validation: the dataset is
+// CrossValidateContext performs k-fold cross-validation: the dataset is
 // shuffled deterministically by seed, partitioned into k folds, and a
 // tree is trained on each k-1 fold union and scored on the held-out fold.
 // Folds are independent, so they train concurrently on the worker pool
 // configured by opts.Workers; the fold partition and every per-fold
 // number are identical for any worker count.
-func CrossValidate(d *dataset.Dataset, k int, opts Options, seed uint64) (*CVResult, error) {
-	return CrossValidateContext(context.Background(), d, k, opts, seed)
-}
-
-// CrossValidateContext is CrossValidate with cooperative cancellation: a
-// canceled context stops queued folds, propagates into each in-flight
+//
+// A canceled context stops queued folds, propagates into each in-flight
 // fold's induction and scoring, and is returned as a wrapped ctx.Err().
 // A panic on any fold worker is contained (stack attached), cancels the
 // sibling folds, and fails the cross-validation cleanly.

@@ -1,6 +1,7 @@
 package mtree
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestRenderDotSingleLeaf(t *testing.T) {
 
 func TestCrossValidate(t *testing.T) {
 	d := piecewiseDataset(1200, 22, 0.1)
-	res, err := CrossValidate(d, 5, DefaultOptions(), 99)
+	res, err := CrossValidateContext(context.Background(), d, 5, DefaultOptions(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestCrossValidate(t *testing.T) {
 
 func TestCrossValidateDeterministic(t *testing.T) {
 	d := piecewiseDataset(600, 23, 0.1)
-	r1, err := CrossValidate(d, 4, DefaultOptions(), 7)
+	r1, err := CrossValidateContext(context.Background(), d, 4, DefaultOptions(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := CrossValidate(d, 4, DefaultOptions(), 7)
+	r2, _ := CrossValidateContext(context.Background(), d, 4, DefaultOptions(), 7)
 	for i := range r1.FoldMAE {
 		if r1.FoldMAE[i] != r2.FoldMAE[i] {
 			t.Fatal("CV not deterministic")
@@ -97,11 +98,11 @@ func TestCrossValidateDeterministic(t *testing.T) {
 
 func TestCrossValidateErrors(t *testing.T) {
 	d := piecewiseDataset(100, 24, 0.1)
-	if _, err := CrossValidate(d, 1, DefaultOptions(), 1); err == nil {
+	if _, err := CrossValidateContext(context.Background(), d, 1, DefaultOptions(), 1); err == nil {
 		t.Error("k=1 should error")
 	}
 	tiny := piecewiseDataset(5, 25, 0.1)
-	if _, err := CrossValidate(tiny, 4, DefaultOptions(), 1); err == nil {
+	if _, err := CrossValidateContext(context.Background(), tiny, 4, DefaultOptions(), 1); err == nil {
 		t.Error("too-small dataset should error")
 	}
 }
@@ -131,7 +132,7 @@ func TestCrossValidateFoldsPartition(t *testing.T) {
 
 func TestEvaluateSplits(t *testing.T) {
 	d := piecewiseDataset(800, 27, 0.05)
-	cands := EvaluateSplits(d, DefaultOptions())
+	cands := must(EvaluateSplitsContext(context.Background(), d, DefaultOptions()))
 	if len(cands) != 2 {
 		t.Fatalf("got %d candidates", len(cands))
 	}
@@ -149,8 +150,8 @@ func TestEvaluateSplits(t *testing.T) {
 }
 
 func TestEvaluateSplitsEmpty(t *testing.T) {
-	if got := EvaluateSplits(dataset.New(twoAttrSchema()), DefaultOptions()); got != nil {
-		t.Errorf("EvaluateSplits on empty = %v", got)
+	if got := must(EvaluateSplitsContext(context.Background(), dataset.New(twoAttrSchema()), DefaultOptions())); got != nil {
+		t.Errorf("EvaluateSplitsContext on empty = %v", got)
 	}
 }
 
@@ -160,7 +161,7 @@ func TestEvaluateSplitsConstantResponse(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_ = d.Append(dataset.Sample{X: []float64{r.Float64(), r.Float64()}, Y: 1})
 	}
-	for _, c := range EvaluateSplits(d, DefaultOptions()) {
+	for _, c := range must(EvaluateSplitsContext(context.Background(), d, DefaultOptions())) {
 		if c.Valid {
 			t.Errorf("constant response yielded valid split: %+v", c)
 		}

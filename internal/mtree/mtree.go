@@ -280,8 +280,8 @@ type builder struct {
 	badAttr []bool
 
 	// Cancellation and failure state. ctx/cancel are nil for the bare
-	// builders of helpers like EvaluateSplits, which only use the split
-	// scan; every method must tolerate that.
+	// builders of helpers like EvaluateSplitsContext, which only use the
+	// split scan; every method must tolerate that.
 	ctx     context.Context
 	cancel  context.CancelFunc
 	failMu  sync.Mutex
@@ -795,8 +795,9 @@ func (t *Tree) numberLeaves() {
 }
 
 // Classify returns the leaf that the sample vector falls into. The vector
-// must be at least as wide as the tree's schema; batch callers use
-// ClassifyLeavesCheckedContext, which validates widths.
+// must be at least as wide as the tree's schema; batch callers compile the
+// tree and use CompiledTree.ClassifyLeavesCheckedContext, which validates
+// widths.
 func (t *Tree) Classify(x []float64) *Node {
 	n := t.Root
 	for !n.IsLeaf() {
@@ -813,54 +814,10 @@ func (t *Tree) Classify(x []float64) *Node {
 // sample vector does not match the tree's schema width.
 var ErrSampleWidth = errors.New("mtree: sample width does not match tree schema")
 
-// checkDataset validates the dataset's schema width and every sample row
-// against the tree's schema. Split attributes and model terms are
-// guaranteed (by Build) or validated (by ReadJSON) to lie inside the
-// schema, so schema width is the exact requirement for safe evaluation.
-func (t *Tree) checkDataset(d *dataset.Dataset) error {
-	if t.Schema == nil || t.Root == nil {
-		return errors.New("mtree: tree has no schema or root")
-	}
-	w := t.Schema.NumAttrs()
-	if d.Schema.NumAttrs() != w {
-		return fmt.Errorf("%w: got %d attributes, schema has %d", ErrSampleWidth, d.Schema.NumAttrs(), w)
-	}
-	for i := range d.Samples {
-		if len(d.Samples[i].X) != w {
-			return fmt.Errorf("%w: sample %d has %d attributes, schema has %d",
-				ErrSampleWidth, i, len(d.Samples[i].X), w)
-		}
-	}
-	return nil
-}
-
-// ClassifyLeavesCheckedContext validates the dataset against the tree's
-// schema (ErrSampleWidth on a schema or row width mismatch) and returns
-// the 1-based LeafID of every sample — the interpreted counterpart of
-// CompiledTree.ClassifyLeavesCheckedContext, kept so characterization
-// can run on either form. Samples are classified in fixed chunks across
-// the tree's worker pool with the cancellation and panic containment of
-// PredictDatasetCheckedContext.
-func (t *Tree) ClassifyLeavesCheckedContext(ctx context.Context, d *dataset.Dataset) ([]int, error) {
-	if err := t.checkDataset(d); err != nil {
-		return nil, err
-	}
-	out := make([]int, d.Len())
-	err := forRangesCtx(ctx, d.Len(), effectiveWorkers(t.Opts.Workers), "mtree.predict.chunk", func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = t.Classify(d.Samples[i].X).LeafID
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mtree: leaf classification: %w", err)
-	}
-	return out, nil
-}
-
 // Predict returns the tree's prediction for the sample vector, applying
 // M5 smoothing along the root path when enabled. The vector must match
-// the tree's schema width; batch callers use PredictDatasetCheckedContext,
-// which validates widths.
+// the tree's schema width; batch callers compile the tree and use
+// CompiledTree.PredictDatasetCheckedContext, which validates widths.
 func (t *Tree) Predict(x []float64) float64 {
 	if !t.Opts.Smooth {
 		return t.Classify(x).Model.Predict(x)
@@ -890,24 +847,11 @@ func (t *Tree) predictSmoothed(n *Node, x []float64) float64 {
 // up.
 const predictParallelMin = 512
 
-// predictChunk is the work quantum of cancellable batch scoring: workers
-// pull fixed chunks off an atomic counter, so cancellation is observed
-// within one chunk of work regardless of dataset size, and every chunk
-// still writes a disjoint output range (the result is positionally
-// identical to a serial pass).
-const predictChunk = 2048
-
-// forRangesCtx fans [0,n) out in fixed chunks across a worker pool with
-// cooperative cancellation and panic containment. fn must only write state
-// owned by its [lo,hi) range. Returns the wrapped context error when
+// forRangesChunkCtx fans [0,n) out in fixed chunks across a worker pool
+// with cooperative cancellation and panic containment. fn must only write
+// state owned by its [lo,hi) range. Returns the wrapped context error when
 // canceled, the contained *robust.PanicError when fn panics, or an
 // injected fault at the named site.
-func forRangesCtx(ctx context.Context, n, workers int, site string, fn func(lo, hi int)) error {
-	return forRangesChunkCtx(ctx, n, workers, predictChunk, site, fn)
-}
-
-// forRangesChunkCtx is forRangesCtx with an explicit chunk size;
-// compiled batch scoring uses its own scoreChunk.
 func forRangesChunkCtx(ctx context.Context, n, workers, chunk int, site string, fn func(lo, hi int)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -953,35 +897,6 @@ func forRangesChunkCtx(ctx context.Context, n, workers, chunk int, site string, 
 		})
 	}
 	return g.Wait()
-}
-
-// PredictDatasetCheckedContext validates the dataset against the tree's
-// schema (width of the schema and of every sample row) and returns
-// predictions for every sample — the safe entry point for datasets
-// loaded from external files. Large batches are scored in fixed chunks
-// across the tree's worker pool; every chunk writes a disjoint range of
-// the output, so the result is identical to a serial pass. A canceled
-// context returns a wrapped ctx.Err() at the next chunk boundary and a
-// panicking scoring worker is contained and returned as an error.
-func (t *Tree) PredictDatasetCheckedContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
-	if err := t.checkDataset(d); err != nil {
-		return nil, err
-	}
-	workers := effectiveWorkers(t.Opts.Workers)
-	_, span := obs.FromContext(ctx).StartSpan(ctx, "mtree.predict",
-		obs.A("compiled", false), obs.A("workers", workers))
-	span.SetRows(d.Len())
-	defer span.End()
-	out := make([]float64, d.Len())
-	err := forRangesCtx(ctx, d.Len(), workers, "mtree.predict.chunk", func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = t.Predict(d.Samples[i].X)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mtree: batch prediction: %w", err)
-	}
-	return out, nil
 }
 
 // NumNodes returns the total node count of the pointer tree, interior

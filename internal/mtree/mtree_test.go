@@ -250,12 +250,16 @@ func TestSmoothingBlendsTowardParent(t *testing.T) {
 func TestPredictDataset(t *testing.T) {
 	d := piecewiseDataset(300, 10, 0.1)
 	tree, _ := Build(d, DefaultOptions())
-	preds := must(tree.PredictDatasetCheckedContext(context.Background(), d))
+	ctree, err := tree.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := must(ctree.PredictDatasetCheckedContext(context.Background(), d))
 	if len(preds) != d.Len() {
 		t.Fatalf("PredictDatasetCheckedContext returned %d values", len(preds))
 	}
 	for i, p := range preds {
-		if got := tree.Predict(d.Samples[i].X); got != p {
+		if got := ctree.Predict(d.Samples[i].X); got != p {
 			t.Fatalf("PredictDatasetCheckedContext[%d] = %v, Predict = %v", i, p, got)
 		}
 	}

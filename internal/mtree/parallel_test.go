@@ -3,7 +3,6 @@ package mtree
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -57,13 +56,16 @@ func TestParallelPredictDatasetDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.Opts.Workers = 4
-	batch := must(tree.PredictDatasetCheckedContext(context.Background(), d))
+	ctree, err := tree.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := must(ctree.WithWorkers(4).PredictDatasetCheckedContext(context.Background(), d))
 	if len(batch) != d.Len() {
 		t.Fatalf("PredictDatasetCheckedContext returned %d values for %d samples", len(batch), d.Len())
 	}
 	for i, s := range d.Samples {
-		if got := tree.Predict(s.X); got != batch[i] {
+		if got := ctree.Predict(s.X); got != batch[i] {
 			t.Fatalf("sample %d: batch %v != point %v", i, batch[i], got)
 		}
 	}
@@ -121,62 +123,6 @@ func TestBuildSurvivesNaNColumn(t *testing.T) {
 	}
 }
 
-// TestCheckedPredictionErrors pins the width validation of the pointer
-// tree's batch entry points: a narrower schema, a wider schema, and
-// ragged rows under a matching schema are all ErrSampleWidth
-// diagnostics, never panics; valid input agrees with the per-sample
-// reference.
-func TestCheckedPredictionErrors(t *testing.T) {
-	d := piecewiseDataset(200, 5, 0.2)
-	tree, err := Build(d, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	narrow := dataset.New(&dataset.Schema{Response: "y", Attributes: []string{"a"}})
-	if err := narrow.Append(dataset.Sample{X: []float64{0.5}, Y: 1}); err != nil {
-		t.Fatal(err)
-	}
-	wide := dataset.New(&dataset.Schema{Response: "y", Attributes: []string{"a", "b", "c"}})
-	if err := wide.Append(dataset.Sample{X: []float64{0.1, 0.2, 0.3}, Y: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ragged := dataset.New(twoAttrSchema())
-	ragged.Samples = append(ragged.Samples, dataset.Sample{X: []float64{0.5}, Y: 1})
-	for _, tc := range []struct {
-		name string
-		err  error
-	}{
-		{"PredictDatasetCheckedContext(narrow)", errOf(tree.PredictDatasetCheckedContext(ctx, narrow))},
-		{"PredictDatasetCheckedContext(wide)", errOf(tree.PredictDatasetCheckedContext(ctx, wide))},
-		{"PredictDatasetCheckedContext(ragged)", errOf(tree.PredictDatasetCheckedContext(ctx, ragged))},
-		{"ClassifyLeavesCheckedContext(narrow)", errOf(tree.ClassifyLeavesCheckedContext(ctx, narrow))},
-		{"ClassifyLeavesCheckedContext(wide)", errOf(tree.ClassifyLeavesCheckedContext(ctx, wide))},
-		{"ClassifyLeavesCheckedContext(ragged)", errOf(tree.ClassifyLeavesCheckedContext(ctx, ragged))},
-	} {
-		if !errors.Is(tc.err, ErrSampleWidth) {
-			t.Errorf("%s = %v, want ErrSampleWidth", tc.name, tc.err)
-		}
-	}
-
-	// Checked batch calls agree with the per-sample reference on valid
-	// input.
-	preds := must(tree.PredictDatasetCheckedContext(ctx, d))
-	leaves := must(tree.ClassifyLeavesCheckedContext(ctx, d))
-	if len(preds) != d.Len() || len(leaves) != d.Len() {
-		t.Fatalf("got %d predictions and %d leaves for %d samples", len(preds), len(leaves), d.Len())
-	}
-	for i, s := range d.Samples {
-		if preds[i] != tree.Predict(s.X) {
-			t.Fatalf("sample %d: batch %v, Predict %v", i, preds[i], tree.Predict(s.X))
-		}
-		if leaves[i] != tree.Classify(s.X).LeafID {
-			t.Fatalf("sample %d: batch leaf %d, Classify %d", i, leaves[i], tree.Classify(s.X).LeafID)
-		}
-	}
-}
-
 // TestCrossValidateParallelDeterministic checks that fold training on the
 // worker pool reports the same numbers as a serial run.
 func TestCrossValidateParallelDeterministic(t *testing.T) {
@@ -185,12 +131,12 @@ func TestCrossValidateParallelDeterministic(t *testing.T) {
 	opts.MinLeaf = 8
 
 	opts.Workers = 1
-	serial, err := CrossValidate(d, 5, opts, 42)
+	serial, err := CrossValidateContext(context.Background(), d, 5, opts, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 4
-	parallel, err := CrossValidate(d, 5, opts, 42)
+	parallel, err := CrossValidateContext(context.Background(), d, 5, opts, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

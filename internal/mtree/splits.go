@@ -12,8 +12,8 @@ import (
 // SplitCandidate reports, for one attribute, the best available split of a
 // dataset and the standard deviation reduction it achieves. The paper
 // reads the tree's top split variables as the ranking of performance
-// factors; EvaluateSplits exposes that ranking directly, without building
-// a full tree.
+// factors; EvaluateSplitsContext exposes that ranking directly, without
+// building a full tree.
 type SplitCandidate struct {
 	Attr      int     // attribute (column) index
 	Name      string  // attribute name from the schema
@@ -22,23 +22,15 @@ type SplitCandidate struct {
 	Valid     bool    // false when the attribute admits no split
 }
 
-// EvaluateSplits computes the best split per attribute over the whole
-// dataset, returned in descending SDR order. MinLeaf from opts constrains
-// the candidate thresholds exactly as during tree induction, and the
-// per-attribute scans fan out across the bounded worker pool configured
-// by opts.Workers, like bestSplit does during induction. Results are
-// written per attribute and stably sorted afterwards, so every worker
-// count produces the identical ranking.
-func EvaluateSplits(d *dataset.Dataset, opts Options) []SplitCandidate {
-	out, err := EvaluateSplitsContext(context.Background(), d, opts)
-	if err != nil {
-		panic(err) // unreachable without cancellation or a contained panic
-	}
-	return out
-}
-
-// EvaluateSplitsContext is EvaluateSplits with cooperative cancellation:
-// queued attribute scans are skipped once the context is canceled and a
+// EvaluateSplitsContext computes the best split per attribute over the
+// whole dataset, returned in descending SDR order. MinLeaf from opts
+// constrains the candidate thresholds exactly as during tree induction,
+// and the per-attribute scans fan out across the bounded worker pool
+// configured by opts.Workers, like bestSplit does during induction.
+// Results are written per attribute and stably sorted afterwards, so every
+// worker count produces the identical ranking.
+//
+// Queued attribute scans are skipped once the context is canceled and a
 // wrapped ctx.Err() is returned; a panicking scan worker is contained and
 // returned as an error.
 func EvaluateSplitsContext(ctx context.Context, d *dataset.Dataset, opts Options) ([]SplitCandidate, error) {

@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"specchar/internal/dataset"
 )
 
 // Result holds a fitted PCA basis.
@@ -115,11 +113,6 @@ func Fit(rows [][]float64) (*Result, error) {
 		res.Components[k] = comp
 	}
 	return res, nil
-}
-
-// FitDataset runs Fit over a dataset's predictor matrix.
-func FitDataset(d *dataset.Dataset) (*Result, error) {
-	return Fit(d.Xs())
 }
 
 // Transform projects a row onto the first k principal components.

@@ -182,7 +182,7 @@ func TestFitDataset(t *testing.T) {
 		x := r.Float64()
 		_ = d.Append(dataset.Sample{X: []float64{x, 2 * x, r.Float64()}, Y: 0})
 	}
-	res, err := FitDataset(d)
+	res, err := Fit(d.Xs())
 	if err != nil {
 		t.Fatal(err)
 	}

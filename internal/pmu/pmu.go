@@ -10,12 +10,7 @@
 // model's predictor variables.
 package pmu
 
-import (
-	"errors"
-	"fmt"
-
-	"specchar/internal/dataset"
-)
+import "specchar/internal/dataset"
 
 // EventID identifies one of the programmable (multiplexed) events of
 // Table I. CPI itself is derived from the fixed counters and is the
@@ -80,36 +75,11 @@ var catalog = [NumEvents]EventInfo{
 	SIMD:       {SIMD, "SIMD", "SIMD_INST_RETIRED.ANY", "retired SIMD instructions per instruction"},
 }
 
-// ErrInvalidEvent is returned by the catalog lookup paths when the event
-// id does not name a programmable event of Table I.
-var ErrInvalidEvent = errors.New("pmu: invalid event id")
-
-// Info returns the catalog entry for an event, or ErrInvalidEvent for an
-// id outside the catalog. Event ids routinely arrive from external input
-// (deserialized trees, CLI flags, dataset column positions), so an
-// out-of-range id is a diagnosable condition, not a programming error.
-func Info(id EventID) (EventInfo, error) {
-	if id < 0 || id >= NumEvents {
-		return EventInfo{}, fmt.Errorf("%w: %d", ErrInvalidEvent, id)
-	}
-	return catalog[id], nil
-}
-
 // Catalog returns all catalog entries in Table I order.
 func Catalog() []EventInfo {
 	out := make([]EventInfo, NumEvents)
 	copy(out, catalog[:])
 	return out
-}
-
-// ByName returns the event with the given short name.
-func ByName(name string) (EventID, bool) {
-	for _, e := range catalog {
-		if e.Name == name {
-			return e.ID, true
-		}
-	}
-	return 0, false
 }
 
 // Schema returns the dataset schema induced by the catalog: CPI as the

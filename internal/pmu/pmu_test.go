@@ -1,7 +1,6 @@
 package pmu
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -22,31 +21,6 @@ func TestCatalogComplete(t *testing.T) {
 			t.Errorf("duplicate event name %q", e.Name)
 		}
 		seen[e.Name] = true
-	}
-}
-
-func TestInfoAndByName(t *testing.T) {
-	info, err := Info(DtlbMiss)
-	if err != nil {
-		t.Fatalf("Info(DtlbMiss): %v", err)
-	}
-	if info.Name != "DtlbMiss" {
-		t.Errorf("Info(DtlbMiss).Name = %q", info.Name)
-	}
-	id, ok := ByName("LdBlkOlp")
-	if !ok || id != LdBlkOlp {
-		t.Errorf("ByName(LdBlkOlp) = %v, %v", id, ok)
-	}
-	if _, ok := ByName("nonsense"); ok {
-		t.Error("ByName of unknown name should fail")
-	}
-}
-
-func TestInfoInvalidID(t *testing.T) {
-	for _, id := range []EventID{-1, NumEvents, 999} {
-		if _, err := Info(id); !errors.Is(err, ErrInvalidEvent) {
-			t.Errorf("Info(%d) err = %v, want ErrInvalidEvent", id, err)
-		}
 	}
 }
 

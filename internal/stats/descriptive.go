@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery used throughout the
 // reproduction: descriptive statistics, probability distributions
-// (normal, Student-t, F), two-sample hypothesis tests (pooled and Welch
-// t-tests, Mann-Whitney U, Levene), and correlation/covariance.
+// (normal, Student-t, F), two-sample hypothesis tests (the pooled t-test,
+// Mann-Whitney U, Levene), t-test power, and correlation/covariance.
 //
 // Section VI of the paper assesses model transferability with two-sample
 // t-tests on CPI means; this package implements those tests along with the
@@ -58,25 +58,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// PopulationVariance returns the biased (divisor n) variance, used by the
-// M5' split criterion where the ML convention divides by n.
-func PopulationVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
-// PopulationStdDev returns the biased standard deviation of xs.
-func PopulationStdDev(xs []float64) float64 { return math.Sqrt(PopulationVariance(xs)) }
 
 // Median returns the median of xs without modifying it.
 func Median(xs []float64) float64 {

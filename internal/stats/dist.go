@@ -139,18 +139,8 @@ func betaContinuedFraction(a, b, x float64) float64 {
 	return h
 }
 
-// StudentTCDF returns P(T <= t) for a Student-t variable with df degrees of
-// freedom. Non-integer df (as produced by the Welch-Satterthwaite
-// approximation) is supported. It returns an error wrapping ErrDomain if
-// df is not positive.
-func StudentTCDF(t, df float64) (float64, error) {
-	if !(df > 0) {
-		return math.NaN(), fmt.Errorf("%w: StudentTCDF requires df > 0, got %v", ErrDomain, df)
-	}
-	return studentTCDF(t, df), nil
-}
-
-// studentTCDF is StudentTCDF for df already known to be positive.
+// studentTCDF returns P(T <= t) for a Student-t variable with df > 0
+// degrees of freedom. Non-integer df is supported.
 func studentTCDF(t, df float64) float64 {
 	if math.IsInf(t, 1) {
 		return 1
@@ -166,20 +156,8 @@ func studentTCDF(t, df float64) float64 {
 	return p
 }
 
-// StudentTQuantile returns the t such that StudentTCDF(t, df) = p, found by
-// bisection on the monotone CDF. It returns an error wrapping ErrDomain if
-// p is outside (0, 1) or df is not positive.
-func StudentTQuantile(p, df float64) (float64, error) {
-	if !(p > 0 && p < 1) {
-		return math.NaN(), fmt.Errorf("%w: StudentTQuantile requires 0 < p < 1, got %v", ErrDomain, p)
-	}
-	if !(df > 0) {
-		return math.NaN(), fmt.Errorf("%w: StudentTQuantile requires df > 0, got %v", ErrDomain, df)
-	}
-	return studentTQuantile(p, df), nil
-}
-
-// studentTQuantile is StudentTQuantile for arguments already validated.
+// studentTQuantile returns the t such that studentTCDF(t, df) = p, for
+// 0 < p < 1 and df > 0, found by bisection on the monotone CDF.
 func studentTQuantile(p, df float64) float64 {
 	lo, hi := -1e6, 1e6
 	for i := 0; i < 200; i++ {

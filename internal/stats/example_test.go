@@ -21,17 +21,3 @@ func ExampleTwoSampleTTest() {
 	// Output:
 	// H0 (equal means) rejected at 95%: true
 }
-
-// ExampleMeanCI shows a Student-t confidence interval for a mean.
-func ExampleMeanCI() {
-	xs := []float64{2.0, 2.1, 1.9, 2.05, 1.95, 2.02, 1.98}
-	iv, err := stats.MeanCI(xs, 0.95)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("interval contains 2.0: %v\n", iv.Contains(2.0))
-	fmt.Printf("interval contains 3.0: %v\n", iv.Contains(3.0))
-	// Output:
-	// interval contains 2.0: true
-	// interval contains 3.0: false
-}

@@ -76,72 +76,6 @@ func TwoSampleTTest(x1, x2 []float64) (TestResult, error) {
 	}, nil
 }
 
-// WelchTTest performs the unequal-variance two-sample t-test with
-// Welch-Satterthwaite degrees of freedom. It is the robust alternative when
-// the variance-ratio assumption of the pooled test is in doubt.
-func WelchTTest(x1, x2 []float64) (TestResult, error) {
-	n1, n2 := len(x1), len(x2)
-	if n1 < 2 || n2 < 2 {
-		return TestResult{}, ErrTooFew
-	}
-	m1, m2 := Mean(x1), Mean(x2)
-	v1, v2 := Variance(x1), Variance(x2)
-	a, b := v1/float64(n1), v2/float64(n2)
-	se := math.Sqrt(a + b)
-	var t, df float64
-	if se == 0 {
-		df = float64(n1 + n2 - 2)
-		if m1 == m2 {
-			t = 0
-		} else {
-			t = math.Inf(sign(m1 - m2))
-		}
-	} else {
-		t = (m1 - m2) / se
-		df = (a + b) * (a + b) / (a*a/float64(n1-1) + b*b/float64(n2-1))
-	}
-	p := twoSidedTP(t, df)
-	return TestResult{
-		Name: "Welch t-test", Statistic: t, DF: df, PValue: p,
-		N1: n1, N2: n2, Mean1: m1, Mean2: m2,
-	}, nil
-}
-
-// PairedTTest performs the paired t-test on equal-length samples, testing
-// H0: mean(x1 - x2) = 0. The paper uses this form ("two-sample paired
-// t-test") when comparing predicted to actual CPI on the same intervals.
-func PairedTTest(x1, x2 []float64) (TestResult, error) {
-	if len(x1) != len(x2) {
-		return TestResult{}, fmt.Errorf("stats: paired t-test requires equal lengths (%d vs %d)", len(x1), len(x2))
-	}
-	n := len(x1)
-	if n < 2 {
-		return TestResult{}, ErrTooFew
-	}
-	d := make([]float64, n)
-	for i := range x1 {
-		d[i] = x1[i] - x2[i]
-	}
-	md := Mean(d)
-	sd := StdDev(d)
-	df := float64(n - 1)
-	var t float64
-	if sd == 0 {
-		if md == 0 {
-			t = 0
-		} else {
-			t = math.Inf(sign(md))
-		}
-	} else {
-		t = md / (sd / math.Sqrt(float64(n)))
-	}
-	p := twoSidedTP(t, df)
-	return TestResult{
-		Name: "paired t-test", Statistic: t, DF: df, PValue: p,
-		N1: n, N2: n, Mean1: Mean(x1), Mean2: Mean(x2),
-	}, nil
-}
-
 // MannWhitneyU performs the Mann-Whitney U rank-sum test with the normal
 // approximation (appropriate for the large samples used here) and tie
 // correction. It is the non-parametric test the paper lists as an

@@ -18,17 +18,6 @@ func (r *rng) next() uint64 {
 
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-// Intn satisfies IntSource for the bootstrap tests.
-func (r *rng) Intn(n int) int { return int(r.next() % uint64(n)) }
-
-func (r *rng) exponential(mean float64) float64 {
-	u := r.float()
-	for u == 0 {
-		u = r.float()
-	}
-	return -mean * math.Log(u)
-}
-
 // normal draws an approximately normal variate via the CLT (12 uniforms).
 func (r *rng) normal(mu, sigma float64) float64 {
 	var s float64
@@ -101,59 +90,6 @@ func TestTwoSampleTTestZeroVariance(t *testing.T) {
 	}
 	if res.PValue != 0 {
 		t.Errorf("p-value for infinite t = %v, want 0", res.PValue)
-	}
-}
-
-func TestWelchTTestUnequalVariances(t *testing.T) {
-	x1 := normalSample(5, 500, 1.0, 0.1)
-	x2 := normalSample(6, 3000, 1.0, 2.0)
-	res, err := WelchTTest(x1, x2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RejectAt(0.01) {
-		t.Errorf("Welch rejected H0 for equal means: %v", res)
-	}
-	// Welch df must be below the pooled df.
-	if res.DF >= float64(len(x1)+len(x2)-2) {
-		t.Errorf("Welch df = %v not reduced below pooled df", res.DF)
-	}
-}
-
-func TestWelchAgreesWithPooledWhenBalanced(t *testing.T) {
-	x1 := normalSample(7, 1000, 2.0, 1.0)
-	x2 := normalSample(8, 1000, 2.5, 1.0)
-	pooled, _ := TwoSampleTTest(x1, x2)
-	welch, _ := WelchTTest(x1, x2)
-	if !almostEqual(pooled.Statistic, welch.Statistic, 1e-9) {
-		t.Errorf("balanced same-variance: pooled t=%v welch t=%v", pooled.Statistic, welch.Statistic)
-	}
-}
-
-func TestPairedTTest(t *testing.T) {
-	x1 := normalSample(9, 800, 1.0, 0.3)
-	// x2 = x1 + small constant shift: the paired test must detect it even
-	// though the shift is far below the marginal standard deviation.
-	x2 := make([]float64, len(x1))
-	for i := range x1 {
-		x2[i] = x1[i] + 0.05
-	}
-	res, err := PairedTTest(x1, x2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.RejectAt(0.001) {
-		t.Errorf("paired t-test failed to detect constant shift: %v", res)
-	}
-	if _, err := PairedTTest(x1, x1[:10]); err == nil {
-		t.Error("paired t-test with unequal lengths should error")
-	}
-	res, err = PairedTTest(x1, x1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Statistic != 0 {
-		t.Errorf("paired t-test of a sample with itself: t = %v, want 0", res.Statistic)
 	}
 }
 

@@ -47,6 +47,5 @@
 // generation-sensitive event densities: mean L2Miss, DtlbMiss and SIMD
 // densities each increase strictly from CPU2000 to CPU2026, and mean CPI
 // rises with them — on a fixed simulated Core 2-class machine, each
-// younger suite is a strictly heavier workload. [Generations] returns the
-// ladder in lineage order for zoo-wide experiments.
+// younger suite is a strictly heavier workload.
 package suites

@@ -9,7 +9,9 @@ package suites
 // suites_test.go and in the top-level experiment tests.
 
 import (
+	"context"
 	"flag"
+	"slices"
 	"testing"
 
 	"specchar/internal/mtree"
@@ -32,7 +34,11 @@ func TestExploreTrees(t *testing.T) {
 			s.Name, d.Len(), sum.Mean, sum.StdDev, sum.Min, sum.Max)
 		opts2 := mtree.DefaultOptions()
 		opts2.MinLeaf = 35
-		for i, c := range mtree.EvaluateSplits(d, opts2) {
+		cands, err := mtree.EvaluateSplitsContext(context.Background(), d, opts2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cands {
 			if i >= 12 {
 				break
 			}
@@ -49,7 +55,7 @@ func TestExploreTrees(t *testing.T) {
 			bd := d.FilterLabel(b.Name)
 			bs, _ := bd.Summary()
 			mean := func(name string) float64 {
-				j := bd.Schema.AttrIndex(name)
+				j := slices.Index(bd.Schema.Attributes, name)
 				var sum float64
 				for _, smp := range bd.Samples {
 					sum += smp.X[j]

@@ -68,24 +68,6 @@ func (s *Suite) Validate() error {
 	return nil
 }
 
-// Benchmark returns the named member, or nil.
-func (s *Suite) Benchmark(name string) *Benchmark {
-	for i := range s.Benchmarks {
-		if s.Benchmarks[i].Name == name {
-			return &s.Benchmarks[i]
-		}
-	}
-	return nil
-}
-
-// Generations returns the CPU suite ladder in lineage order — CPU2000,
-// CPU2006, CPU2017, CPU2026 — the zoo the N×N transfer-matrix experiment
-// spans (see doc.go for how the four generations differ and what ordering
-// their event distributions are calibrated to).
-func Generations() []*Suite {
-	return []*Suite{CPU2000(), CPU2006(), CPU2017(), CPU2026()}
-}
-
 // GenOptions configure dataset generation.
 type GenOptions struct {
 	// SamplesPerBenchmark is the number of measurement samples for a

@@ -26,19 +26,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddFloatRow appends a row of a leading label plus formatted floats.
-func (t *Table) AddFloatRow(label string, format string, vals ...float64) {
-	row := make([]string, 0, len(vals)+1)
-	row = append(row, label)
-	for _, v := range vals {
-		row = append(row, fmt.Sprintf(format, v))
-	}
-	t.rows = append(t.rows, row)
-}
-
-// NumRows returns the number of data rows added.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	cols := len(t.headers)

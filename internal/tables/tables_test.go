@@ -11,9 +11,6 @@ func TestEmptyTable(t *testing.T) {
 	if !strings.Contains(out, "A") || !strings.Contains(out, "B") {
 		t.Errorf("headers missing: %q", out)
 	}
-	if tab.NumRows() != 0 {
-		t.Errorf("NumRows = %d", tab.NumRows())
-	}
 }
 
 func TestAlignment(t *testing.T) {
@@ -47,18 +44,6 @@ func TestShortAndLongRows(t *testing.T) {
 	out := tab.String()
 	if !strings.Contains(out, "z") {
 		t.Errorf("extra column dropped: %q", out)
-	}
-}
-
-func TestAddFloatRow(t *testing.T) {
-	tab := New("bench", "v1", "v2")
-	tab.AddFloatRow("mcf", "%.2f", 1.234, 5.678)
-	out := tab.String()
-	if !strings.Contains(out, "1.23") || !strings.Contains(out, "5.68") {
-		t.Errorf("floats not formatted: %q", out)
-	}
-	if tab.NumRows() != 1 {
-		t.Errorf("NumRows = %d", tab.NumRows())
 	}
 }
 

@@ -48,10 +48,9 @@ func ExampleMatrixAssess() {
 	if err != nil {
 		panic(err)
 	}
-	for _, train := range m.Suites {
-		for _, test := range m.Suites {
-			c := m.Cell(train, test)
-			fmt.Printf("%s -> %s: transferable=%v\n", train, test, c.Transferable)
+	for i, train := range m.Suites {
+		for j, test := range m.Suites {
+			fmt.Printf("%s -> %s: transferable=%v\n", train, test, m.Cells[i][j].Transferable)
 		}
 	}
 	// Output:

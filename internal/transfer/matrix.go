@@ -92,21 +92,6 @@ type TransferMatrix struct {
 	Cells [][]MatrixCell `json:"cells"`
 }
 
-// Cell returns the cell for the named ordered pair, or nil.
-func (m *TransferMatrix) Cell(train, test string) *MatrixCell {
-	for i, a := range m.Suites {
-		if a != train {
-			continue
-		}
-		for j, b := range m.Suites {
-			if b == test {
-				return &m.Cells[i][j]
-			}
-		}
-	}
-	return nil
-}
-
 // MatrixAssess runs the full N×N transfer experiment over the given
 // suites: each suite is stratified-split, a model tree is trained and
 // compiled on its train share, and every ordered (model, held-out test

@@ -80,10 +80,8 @@ type Options struct {
 
 // Predictor is the model-side dependency of an assessment: a trained
 // model that can score a dataset with input validation, stopping at a
-// chunk boundary when the context is canceled. Both the pointer form
-// (*mtree.Tree) and the compiled batch form (*mtree.CompiledTree)
-// satisfy it; assessments are prediction-heavy, so callers holding a
-// trained tree should compile it once and pass the compiled form.
+// chunk boundary when the context is canceled. The compiled batch form
+// of a tree (*mtree.CompiledTree) satisfies it.
 type Predictor interface {
 	PredictDatasetCheckedContext(ctx context.Context, d *dataset.Dataset) ([]float64, error)
 }

@@ -31,10 +31,20 @@ func makeRegime(n int, seed uint64, shift float64) *dataset.Dataset {
 	return d
 }
 
+// buildCompiled trains a default tree on d and compiles it, the form the
+// facade passes to Assess.
+func buildCompiled(d *dataset.Dataset) (*mtree.CompiledTree, error) {
+	tree, err := mtree.Build(d, mtree.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	return tree.Compile()
+}
+
 func TestAssessSameDistributionIsTransferable(t *testing.T) {
 	all := makeRegime(4000, 1, 0)
 	train, test := all.Split(dataset.NewRNG(2), 0.1)
-	model, err := mtree.Build(train, mtree.DefaultOptions())
+	model, err := buildCompiled(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +70,7 @@ func TestAssessShiftedDistributionFails(t *testing.T) {
 	train := makeRegime(2000, 3, 0)
 	// A different process: shifted mean and different structure.
 	test := makeRegime(2000, 4, 1.2)
-	model, err := mtree.Build(train, mtree.DefaultOptions())
+	model, err := buildCompiled(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +96,7 @@ func TestAssessShiftedDistributionFails(t *testing.T) {
 func TestAssessDefaults(t *testing.T) {
 	all := makeRegime(500, 5, 0)
 	train, test := all.Split(dataset.NewRNG(6), 0.5)
-	model, _ := mtree.Build(train, mtree.DefaultOptions())
+	model, _ := buildCompiled(train)
 	a, err := Assess(model, train, test, "P", "Q", Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +122,7 @@ func TestAssessDefaults(t *testing.T) {
 
 func TestAssessErrors(t *testing.T) {
 	all := makeRegime(100, 7, 0)
-	model, _ := mtree.Build(all, mtree.DefaultOptions())
+	model, _ := buildCompiled(all)
 	empty := dataset.New(twoAttrSchema())
 	if _, err := Assess(model, empty, all, "P", "Q", Options{}); err == nil {
 		t.Error("empty train should error")
@@ -125,7 +135,7 @@ func TestAssessErrors(t *testing.T) {
 func TestAssessmentString(t *testing.T) {
 	all := makeRegime(400, 8, 0)
 	train, test := all.Split(dataset.NewRNG(9), 0.3)
-	model, _ := mtree.Build(train, mtree.DefaultOptions())
+	model, _ := buildCompiled(train)
 	a, _ := Assess(model, train, test, "TrainSuite", "TestSuite", Options{})
 	out := a.String()
 	for _, want := range []string{"TrainSuite", "TestSuite", "sample t-test",
@@ -182,7 +192,7 @@ func TestSweepDeterministic(t *testing.T) {
 func TestAssessmentSensitivity(t *testing.T) {
 	all := makeRegime(2000, 20, 0)
 	train, test := all.Split(dataset.NewRNG(21), 0.1)
-	model, _ := mtree.Build(train, mtree.DefaultOptions())
+	model, _ := buildCompiled(train)
 	a, err := Assess(model, train, test, "P", "Q", Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +202,7 @@ func TestAssessmentSensitivity(t *testing.T) {
 	}
 	// The detectable difference must shrink for a larger design.
 	train2, test2 := all.Split(dataset.NewRNG(21), 0.5)
-	model2, _ := mtree.Build(train2, mtree.DefaultOptions())
+	model2, _ := buildCompiled(train2)
 	a2, _ := Assess(model2, train2, test2, "P", "Q", Options{})
 	if a2.MinDetectableDiff >= a.MinDetectableDiff {
 		t.Errorf("sensitivity did not improve: %v vs %v", a2.MinDetectableDiff, a.MinDetectableDiff)

@@ -61,16 +61,6 @@ func (b *BranchPredictor) Predict(pc uint64, taken bool) (correct bool) {
 	return correct
 }
 
-// Reset clears learned state.
-func (b *BranchPredictor) Reset() {
-	for i := range b.counters {
-		b.counters[i] = 1
-	}
-	for i := range b.history {
-		b.history[i] = 0
-	}
-}
-
 func boolBit(v bool) uint64 {
 	if v {
 		return 1

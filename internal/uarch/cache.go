@@ -84,9 +84,6 @@ func NewCache(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	}, nil
 }
 
-// LineBytes returns the cache's line size.
-func (c *Cache) LineBytes() int { return 1 << c.lineShift }
-
 // Access looks up the line containing addr, inserting it on a miss
 // (evicting the LRU way). It reports whether the access hit.
 func (c *Cache) Access(addr uint64) bool {
@@ -142,14 +139,6 @@ func (c *Cache) Splits(addr uint64, size uint32) bool {
 	return addr>>c.lineShift != (addr+uint64(size)-1)>>c.lineShift
 }
 
-// Reset invalidates the entire cache.
-func (c *Cache) Reset() {
-	clear(c.keys)
-	clear(c.used)
-	c.tick = 0
-	c.lastSpan = 0
-}
-
 // TLB is a set-associative translation buffer over fixed-size pages,
 // implemented as a Cache whose "lines" are pages.
 type TLB struct {
@@ -180,15 +169,3 @@ func NewTLB(entries, ways, pageBytes int) (*TLB, error) {
 func (t *TLB) Access(addr uint64) bool {
 	return t.c.Access(addr >> t.pageShift)
 }
-
-// SpansPages reports whether an access of size bytes at addr touches two
-// pages.
-func (t *TLB) SpansPages(addr uint64, size uint32) bool {
-	if size == 0 {
-		return false
-	}
-	return addr>>t.pageShift != (addr+uint64(size)-1)>>t.pageShift
-}
-
-// Reset invalidates all translations.
-func (t *TLB) Reset() { t.c.Reset() }

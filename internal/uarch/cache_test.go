@@ -59,14 +59,6 @@ func (c *refCache) Access(addr uint64) bool {
 	return false
 }
 
-func (c *refCache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.used[i] = 0
-	}
-	c.tick = 0
-}
-
 // geometry is a cache shape and the address shift that feeds it: a TLB
 // is a cache of 1-byte lines over page numbers.
 type geometry struct {
@@ -94,22 +86,22 @@ func testGeometries() []geometry {
 	}
 }
 
-// build returns the structure under test: a Cache, or for a TLB
-// geometry a TLB, which does its own page shift.
-func (g geometry) build(t *testing.T) (access func(uint64) bool, reset func()) {
+// build returns the access function of the structure under test: a
+// Cache, or for a TLB geometry a TLB, which does its own page shift.
+func (g geometry) build(t *testing.T) func(uint64) bool {
 	t.Helper()
 	if g.shift > 0 {
 		tlb, err := NewTLB(g.size, g.ways, 1<<g.shift)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tlb.Access, tlb.Reset
+		return tlb.Access
 	}
 	c, err := NewCache(g.size, g.ways, g.line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Access, c.Reset
+	return c.Access
 }
 
 // addrStreams returns named address streams: uniform random over spans
@@ -209,25 +201,15 @@ func addrStreams(t *testing.T) map[string][]uint64 {
 
 // TestCacheMatchesReference replays every stream through Cache (TLB for
 // the TLB geometries) and the reference at the default L1D, L2, DTLB and
-// ITLB geometries and the 1-, 2- and 3-way ones, resetting both halfway
-// and then repeating the last address before the Reset (which must miss,
-// whatever the memo held), and requires the same hit or miss on every
-// access.
+// ITLB geometries and the 1-, 2- and 3-way ones, and requires the same
+// hit or miss on every access.
 func TestCacheMatchesReference(t *testing.T) {
 	streams := addrStreams(t)
 	for _, g := range testGeometries() {
 		for name, s := range streams {
-			access, reset := g.build(t)
+			access := g.build(t)
 			ref := newRefCache(g.size, g.ways, g.line)
 			for i, a := range s {
-				if i == len(s)/2 {
-					reset()
-					ref.Reset()
-					last := s[i-1]
-					if got, want := access(last), ref.Access(last>>g.shift); got != want {
-						t.Fatalf("%s %s: repeat of %#x after Reset hit=%v, reference %v", g.name, name, last, got, want)
-					}
-				}
 				if got, want := access(a), ref.Access(a>>g.shift); got != want {
 					t.Fatalf("%s %s: access %d (%#x) hit=%v, reference %v", g.name, name, i, a, got, want)
 				}
@@ -237,9 +219,8 @@ func TestCacheMatchesReference(t *testing.T) {
 }
 
 // TestCorePairSharedL2MatchesReference drives the L2 a NewCorePair
-// shares through both cores against a single reference cache, with one
-// Reset through the sibling core halfway followed by a repeat of the
-// last address. The L2 is shrunk to 256 KiB so the two threads' 3 MiB
+// shares through both cores against a single reference cache. The L2 is
+// shrunk to 256 KiB so the two threads' 3 MiB
 // footprints keep evicting each other. The cores alternate in two ways:
 // in 1024-op windows of two slot generators with disjoint data, and op
 // by op over the same data region with mostly sequential access, where
@@ -279,16 +260,8 @@ func TestCorePairSharedL2MatchesReference(t *testing.T) {
 			}
 			const ops = 128 * 1024
 			hits, n := 0, 0
-			var last uint64
 			for i := 0; i < ops; i++ {
 				k := i / tc.window % 2
-				if i == ops/2 {
-					b.Reset()
-					ref.Reset()
-					if got, want := a.l2.Access(last), ref.Access(last); got != want {
-						t.Fatalf("repeat of %#x after Reset hit=%v, reference %v", last, got, want)
-					}
-				}
 				op := gens[k].Next()
 				if op.Kind != trace.Load && op.Kind != trace.Store {
 					continue
@@ -301,7 +274,6 @@ func TestCorePairSharedL2MatchesReference(t *testing.T) {
 					hits++
 				}
 				n++
-				last = op.Addr
 			}
 			if hits == 0 || hits == n {
 				t.Fatalf("shared L2 saw %d/%d hits; the stream exercises no replacement", hits, n)
@@ -310,17 +282,15 @@ func TestCorePairSharedL2MatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzCacheAccess replays arbitrary address streams, with Resets, through
-// Cache and the reference at small geometries (1-8 sets, 1-8 ways,
+// FuzzCacheAccess replays arbitrary address streams through Cache and the reference at small geometries (1-8 sets, 1-8 ways,
 // 1-128-byte lines) where every set fills and evicts within a few
 // accesses, and requires the same hit or miss on every access.
 func FuzzCacheAccess(f *testing.F) {
 	f.Add(uint8(0x25), uint64(0x10_0000_0000), uint16(64), []byte{0, 1, 2, 0, 3, 4, 0xff, 1, 2})
 	f.Add(uint8(0xff), uint64(1)<<63, uint16(1024), []byte("set-row thrash: every byte one line"))
 	f.Add(uint8(0x1c), ^uint64(0), uint16(1), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5})
-	// Last-access memo: repeats of one line, a repeat straight after a
-	// Reset, and (direct-mapped, one set) a line hit, evicted by a fill,
-	// then touched again.
+	// Last-access memo: repeats of one line, and (direct-mapped, one set)
+	// a line hit, evicted by a fill, then touched again.
 	f.Add(uint8(0x40), uint64(0x1000), uint16(1), []byte{0, 1, 2, 3, 3, 64, 64, 0xff, 64, 64, 0xff, 65})
 	f.Add(uint8(0x20), uint64(0), uint16(2), []byte{5, 5, 9, 5, 9, 9, 5, 0xff, 5, 9, 5})
 	f.Fuzz(func(t *testing.T, shape uint8, base uint64, stride uint16, ops []byte) {
@@ -336,11 +306,6 @@ func FuzzCacheAccess(f *testing.F) {
 		}
 		ref := newRefCache(sets*ways*line, ways, line)
 		for i, op := range ops {
-			if op == 0xff {
-				c.Reset()
-				ref.Reset()
-				continue
-			}
 			addr := base + uint64(op)*uint64(stride)
 			if got, want := c.Access(addr), ref.Access(addr); got != want {
 				t.Fatalf("%d sets x %d ways x %d B: access %d (%#x) hit=%v, reference %v",
@@ -452,22 +417,6 @@ func TestCacheSplits(t *testing.T) {
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	c, _ := NewCache(1024, 2, 64)
-	c.Access(0x2000)
-	c.Reset()
-	if c.Access(0x2000) {
-		t.Error("access after Reset should miss")
-	}
-}
-
-func TestCacheLineBytes(t *testing.T) {
-	c, _ := NewCache(1024, 2, 64)
-	if c.LineBytes() != 64 {
-		t.Errorf("LineBytes = %d", c.LineBytes())
-	}
-}
-
 func TestNewTLBValidation(t *testing.T) {
 	if _, err := NewTLB(255, 4, 4096); err == nil {
 		t.Error("entries not divisible by ways should error")
@@ -514,7 +463,7 @@ func TestTLBCapacity(t *testing.T) {
 		t.Errorf("16-page working set in 16-entry TLB: %d/16 hits", hits)
 	}
 	// 64 pages thrash it.
-	tlb.Reset()
+	tlb, _ = NewTLB(16, 4, 4096)
 	misses := 0
 	for pass := 0; pass < 2; pass++ {
 		for p := uint64(0); p < 64; p++ {
@@ -525,19 +474,6 @@ func TestTLBCapacity(t *testing.T) {
 	}
 	if misses < 100 {
 		t.Errorf("thrashing working set produced only %d misses", misses)
-	}
-}
-
-func TestTLBSpansPages(t *testing.T) {
-	tlb, _ := NewTLB(16, 4, 4096)
-	if tlb.SpansPages(4090, 4) {
-		t.Error("access within page should not span")
-	}
-	if !tlb.SpansPages(4094, 4) {
-		t.Error("access crossing page boundary should span")
-	}
-	if tlb.SpansPages(0, 0) {
-		t.Error("zero-size access cannot span")
 	}
 }
 
@@ -587,20 +523,6 @@ func TestBranchPredictorRandomIsNearChance(t *testing.T) {
 	rate := float64(correct) / n
 	if rate < 0.4 || rate > 0.65 {
 		t.Errorf("random branches predicted at %.3f, expected near chance", rate)
-	}
-}
-
-func TestBranchPredictorReset(t *testing.T) {
-	bp := NewBranchPredictor(10)
-	pc := uint64(0x400300)
-	for i := 0; i < 100; i++ {
-		bp.Predict(pc, true)
-	}
-	bp.Reset()
-	// After reset, the first prediction for a taken branch is wrong
-	// (counters re-initialized to weakly-not-taken).
-	if bp.Predict(pc, true) {
-		t.Error("prediction after Reset should be untrained")
 	}
 }
 

@@ -185,24 +185,6 @@ func newCore(cfg Config, sharedL2 *Cache) (*Core, error) {
 	return c, nil
 }
 
-// Config returns the core's configuration.
-func (c *Core) Config() Config { return c.cfg }
-
-// Reset clears all microarchitectural state (cold caches, untrained
-// predictor) without reallocating.
-func (c *Core) Reset() {
-	c.l1i.Reset()
-	c.l1d.Reset()
-	c.l2.Reset()
-	c.dtlb.Reset()
-	c.itlb.Reset()
-	c.bp.Reset()
-	for i := range c.streamTrackers {
-		c.streamTrackers[i] = 0
-	}
-	c.nextTracker = 0
-}
-
 // Preload walks the address range line by line through the data
 // hierarchy without counting events, bringing a phase's working set to
 // its steady-state residency before measurement begins (on real hardware

@@ -269,22 +269,6 @@ func TestILPReducesMemoryStalls(t *testing.T) {
 	}
 }
 
-func TestResetRestoresColdState(t *testing.T) {
-	c := newTestCore(t)
-	p := trace.Phase{Weight: 1, LoadFrac: 0.4, DataFootprint: 16 << 10, SeqFrac: 0.8}
-	w1 := runPhase(t, c, p, 10, 20000)
-	// Warm: second identical run misses less.
-	w2 := runPhase(t, c, p, 10, 20000)
-	if w2.Ev[pmu.L1DMiss] >= w1.Ev[pmu.L1DMiss] {
-		t.Errorf("warm run misses (%v) not below cold run (%v)", w2.Ev[pmu.L1DMiss], w1.Ev[pmu.L1DMiss])
-	}
-	c.Reset()
-	w3 := runPhase(t, c, p, 10, 20000)
-	if math.Abs(w3.Ev[pmu.L1DMiss]-w1.Ev[pmu.L1DMiss]) > w1.Ev[pmu.L1DMiss]*0.2+5 {
-		t.Errorf("post-Reset misses %v differ from cold-start %v", w3.Ev[pmu.L1DMiss], w1.Ev[pmu.L1DMiss])
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	p := trace.Phase{Weight: 1, LoadFrac: 0.3, StoreFrac: 0.1, BranchFrac: 0.1,
 		DataFootprint: 1 << 20, BranchEntropy: 0.3}
@@ -294,13 +278,6 @@ func TestDeterministicRuns(t *testing.T) {
 	w2 := runPhase(t, c2, p, 11, 30000)
 	if w1 != w2 {
 		t.Error("identical seeds produced different counts")
-	}
-}
-
-func TestCoreConfigAccessor(t *testing.T) {
-	c := newTestCore(t)
-	if c.Config().L2Size != 4<<20 {
-		t.Errorf("Config().L2Size = %d", c.Config().L2Size)
 	}
 }
 
@@ -403,7 +380,7 @@ func TestRunStackConsistency(t *testing.T) {
 		t.Errorf("stack total %v != cycles %v", stack.Total(), counts.Cycles)
 	}
 	// Base cycles are exact: BaseCPI per op.
-	if want := c.Config().BaseCPI * 30000; math.Abs(stack[StackBase]-want) > 1e-9 {
+	if want := c.cfg.BaseCPI * 30000; math.Abs(stack[StackBase]-want) > 1e-9 {
 		t.Errorf("base cycles = %v, want %v", stack[StackBase], want)
 	}
 	// The phase exercises branches, compute and memory: those components

@@ -2,6 +2,7 @@ package specchar
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -182,7 +183,7 @@ func TestTreesAreDissimilar(t *testing.T) {
 // everything.
 func TestComputeBenchmarkSimilarity(t *testing.T) {
 	s := fullStudy(t)
-	profiles, err := characterize.SuiteProfiles(s.CPUTree, s.CPU)
+	profiles, err := characterize.SuiteProfiles(s.CPUTreeCompiled, s.CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestComputeBenchmarkSimilarity(t *testing.T) {
 // heavy cache-line-split loads (the paper's LM18 discussion).
 func TestSphinxSplitLoadSignature(t *testing.T) {
 	s := fullStudy(t)
-	j := s.CPU.Schema.AttrIndex("SplitLoad")
+	j := slices.Index(s.CPU.Schema.Attributes, "SplitLoad")
 	meanSplit := func(label string) float64 {
 		sub := s.CPU.FilterLabel(label)
 		var sum float64
